@@ -29,13 +29,12 @@ answers whole-program questions over the analyzed pool:
   create and unlink leaks the segment until reboot).
 
 - **REP012 — allocation on the inference hot path.**  Statically pins
-  the "allocation-free after warmup" contract that the perf-counter
-  assertion checks only at runtime: any fresh-allocation call
-  (``np.zeros``/``np.empty``/``.copy()``/``.astype()``/``Tensor(...)``)
-  in a function reachable from ``InferencePlan.run``/``step``/
-  ``__call__`` is flagged, except inside the Workspace arena, the perf
-  registry, and the observability layer (whose spans are sampled, not
-  per-element).
+  the "allocation-free after warmup" contract that the
+  ``workspace.bytes_allocated`` counter checks only at runtime: any
+  fresh-allocation call (``np.zeros``/``np.empty``/``.copy()``/
+  ``.astype()``/``Tensor(...)``) in a function reachable from ``InferencePlan.run``/``step``/
+  ``__call__`` is flagged, except inside the Workspace arena and the
+  observability layer (whose spans are sampled, not per-element).
 
 Intentional findings are suppressed per line (``# noqa: REP0xx``) or
 per finding via a committed baseline file (``analysis-baseline.json``),
@@ -689,8 +688,8 @@ def rule_rep011(graph: CallGraph) -> Iterator[Violation]:
 _REP012_ROOT_CLASS = "InferencePlan"
 _REP012_ROOT_METHODS = {"run", "step", "__call__"}
 #: Files whose internals are the sanctioned allocation machinery: the
-#: arena itself, the perf registry, and the observability layer.
-_REP012_EXEMPT_SUFFIXES = ("tensor/workspace.py", "tensor/perf.py")
+#: arena itself and the observability layer.
+_REP012_EXEMPT_SUFFIXES = ("tensor/workspace.py",)
 _REP012_EXEMPT_DIRS = ("obs",)
 
 _NP_ALLOC_FUNCS = {

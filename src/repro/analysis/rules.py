@@ -755,14 +755,12 @@ def rule_rep007(ctx: FileContext) -> Iterator[Violation]:
 # ======================================================================
 #: Where reading time.perf_counter() directly is legitimate: the obs
 #: package (which *defines* the sanctioned clock and the wall-clock
-#: anchor), the tensor perf registry (pre-dates obs; its counters feed
-#: the same timeline), and benchmarks (standalone timing harnesses).
+#: anchor) and benchmarks (standalone timing harnesses).
 #: Everywhere else, a private perf_counter() reading produces timestamps
 #: that cannot be aligned with the trace timeline — call
 #: ``repro.obs.trace.clock()`` (the same function, re-exported) or open
 #: a span instead.
 _REP008_SANCTIONED_DIRS = ("obs", "benchmarks")
-_REP008_SANCTIONED_SUFFIX = "tensor/perf.py"
 
 #: Call spellings that read the raw monotonic clock.
 _REP008_CLOCK_CALLS = {"perf_counter", "perf_counter_ns"}
@@ -772,8 +770,6 @@ def rule_rep008(ctx: FileContext) -> Iterator[Violation]:
     posix = ctx.path.replace("\\", "/")
     parts = posix.split("/")
     if any(fragment in parts for fragment in _REP008_SANCTIONED_DIRS):
-        return
-    if posix.endswith(_REP008_SANCTIONED_SUFFIX):
         return
 
     def hit(node: ast.AST, what: str) -> Violation:
@@ -1015,8 +1011,8 @@ def rule_rep016(ctx: FileContext) -> Iterator[Violation]:
     if any(fragment in parts for fragment in _REP016_SANCTIONED_DIRS):
         return
 
-    # Bare ``Counter(...)`` is ambiguous (collections.Counter, the perf
-    # registry's own Counter class): only flag it when this file imports
+    # Bare ``Counter(...)`` is ambiguous (collections.Counter, any other
+    # module's Counter class): only flag it when this file imports
     # Counter from a metrics module.  Bare Gauge/Histogram have no such
     # stdlib/in-repo doppelgangers and are always flagged.
     metrics_imports: set[str] = set()
@@ -1037,7 +1033,7 @@ def rule_rep016(ctx: FileContext) -> Iterator[Violation]:
         if "." in name:
             # Qualified: only the metrics module's attributes count
             # (``metrics.Gauge`` / ``obs.metrics.Gauge``), so e.g.
-            # ``collections.Counter`` or ``perf.Counter`` stay clean.
+            # ``collections.Counter`` or ``stats.Counter`` stay clean.
             prefix_leaf = name.rsplit(".", 2)[-2]
             if prefix_leaf != "metrics":
                 continue

@@ -484,8 +484,9 @@ def _add_perf(subparsers) -> None:
         "--execution",
         default="threads",
         choices=["threads", "processes"],
-        help="rollout backend; counters from process ranks merge into "
-        "the parent's report via the obs aggregation path",
+        help="rollout backend; kernel spans and workspace counters from "
+        "process ranks merge into the parent's report via the obs "
+        "aggregation path",
     )
 
 
@@ -1031,13 +1032,40 @@ def _cmd_check(args) -> int:
     return 0 if ok else 1
 
 
+def _observed_rollout(args, *collectors) -> None:
+    """Roll out untrained paper CNNs on a ``--pgrid`` decomposition with
+    every context manager in ``collectors`` entered — the one workload
+    behind ``repro perf``, ``repro trace`` and ``repro metrics``."""
+    from .core import ParallelPredictor, build_paper_cnn
+    from .domain.decomposition import BlockDecomposition
+    from .scenarios import channels
+
+    rng = np.random.default_rng(args.seed)
+    size = args.grid_size
+    py, px = args.pgrid
+    num_channels = len(channels(args.scenario))
+    arch = (num_channels, 6, 16, 6, num_channels)
+    models = [
+        build_paper_cnn(
+            args.strategy, rng=np.random.default_rng(args.seed + r), channels=arch
+        )
+        for r in range(py * px)
+    ]
+    predictor = ParallelPredictor(models, BlockDecomposition((size, size), (py, px)))
+    initial = rng.standard_normal((num_channels, size, size))
+    with contextlib.ExitStack() as stack:
+        for collector in collectors:
+            stack.enter_context(collector)
+        predictor.rollout(initial, num_steps=args.steps, execution=args.execution)
+    print(f"rollout: {args.steps} steps on a {py}x{px} grid ({args.execution} backend)")
+
+
 def _cmd_perf(args) -> int:
     from . import tensor as T
-    from .core import InferencePlan, ParallelPredictor, build_paper_cnn
-    from .domain.decomposition import BlockDecomposition
-    from .obs import trace
+    from .core import InferencePlan, build_paper_cnn
+    from .obs import export, metrics, trace
     from .scenarios import channels
-    from .tensor import no_grad, perf, set_precision, workspace_disabled
+    from .tensor import no_grad, set_precision, workspace_disabled
 
     set_precision(args.precision)
     rng = np.random.default_rng(args.seed)
@@ -1076,23 +1104,20 @@ def _cmd_perf(args) -> int:
     print(f"  speedup: {naive_s / plan_s:.2f}x")
     print(f"  {plan.workspace.describe()}")
 
-    # Rollout counters cover every rank on either backend: thread ranks
-    # share this registry directly; process ranks ship their snapshot
-    # back through the obs aggregation path at shutdown.
-    py, px = args.pgrid
-    models = [
-        build_paper_cnn(
-            args.strategy, rng=np.random.default_rng(args.seed + r), channels=arch
+    # Kernel spans and workspace counters cover every rank on either
+    # backend: thread ranks record into this process directly; process
+    # ranks ship theirs back through the obs aggregation path.
+    trace.reset()
+    metrics.reset()
+    print()
+    _observed_rollout(args, trace.tracing(), metrics.collecting())
+    print(
+        export.format_op_table(
+            trace.spans(),
+            metrics.counter("workspace.bytes_allocated").total(),
+            metrics.counter("workspace.bytes_reused").total(),
         )
-        for r in range(py * px)
-    ]
-    predictor = ParallelPredictor(models, BlockDecomposition((size, size), (py, px)))
-    initial = rng.standard_normal((num_channels, size, size))
-    perf.reset()
-    with perf.collecting():
-        predictor.rollout(initial, num_steps=args.steps, execution=args.execution)
-    print(f"\nrollout: {args.steps} steps on a {py}x{px} grid ({args.execution} backend)")
-    print(perf.format_report())
+    )
     return 0
 
 
@@ -1106,30 +1131,13 @@ def _cmd_trace(args) -> int:
         print(f"chrome trace: {args.output} (load via chrome://tracing)")
         return 0
 
-    from .core import ParallelPredictor, build_paper_cnn
-    from .domain.decomposition import BlockDecomposition
-    from .scenarios import channels
-
-    rng = np.random.default_rng(args.seed)
-    size = args.grid_size
-    py, px = args.pgrid
-    num_channels = len(channels(args.scenario))
-    arch = (num_channels, 6, 16, 6, num_channels)
-    models = [
-        build_paper_cnn(
-            args.strategy, rng=np.random.default_rng(args.seed + r), channels=arch
-        )
-        for r in range(py * px)
-    ]
-    predictor = ParallelPredictor(models, BlockDecomposition((size, size), (py, px)))
-    initial = rng.standard_normal((num_channels, size, size))
     trace.reset()
-    with trace.tracing():
-        predictor.rollout(initial, num_steps=args.steps, execution=args.execution)
+    _observed_rollout(args, trace.tracing())
     spans, metrics = trace.spans(), trace.metrics()
     dropped = trace.dropped()
     out = pathlib.Path(args.output)
     export.write_chrome_trace(out, spans, metrics)
+    py, px = args.pgrid
     jsonl = export.write_jsonl(
         out.with_suffix(".jsonl"),
         spans,
@@ -1138,7 +1146,6 @@ def _cmd_trace(args) -> int:
         dropped=dropped,
     )
     summary = export.write_summary(out.with_suffix(".summary.json"), spans)
-    print(f"rollout: {args.steps} steps on a {py}x{px} grid ({args.execution} backend)")
     print(export.format_summary(spans, dropped=dropped))
     print(f"chrome trace: {out} (load via chrome://tracing)")
     print(f"event log:    {jsonl}")
@@ -1147,36 +1154,19 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    from .core import ParallelPredictor, build_paper_cnn
-    from .domain.decomposition import BlockDecomposition
     from .obs import metrics, metrics_export
-    from .scenarios import channels
 
-    rng = np.random.default_rng(args.seed)
-    size = args.grid_size
-    py, px = args.pgrid
-    num_channels = len(channels(args.scenario))
-    arch = (num_channels, 6, 16, 6, num_channels)
-    models = [
-        build_paper_cnn(
-            args.strategy, rng=np.random.default_rng(args.seed + r), channels=arch
-        )
-        for r in range(py * px)
-    ]
-    predictor = ParallelPredictor(models, BlockDecomposition((size, size), (py, px)))
-    initial = rng.standard_normal((num_channels, size, size))
     metrics.reset()
-    with metrics.collecting():
-        predictor.rollout(initial, num_steps=args.steps, execution=args.execution)
+    _observed_rollout(args, metrics.collecting())
     snap = metrics.snapshot()
     out = pathlib.Path(args.output)
     metrics_export.write_prometheus(out, snap)
+    py, px = args.pgrid
     jsonl = metrics_export.write_metrics_jsonl(
         out.with_suffix(".jsonl"),
         snap,
         meta={"workload": "rollout", "execution": args.execution, "ranks": py * px},
     )
-    print(f"rollout: {args.steps} steps on a {py}x{px} grid ({args.execution} backend)")
     print(metrics_export.format_metrics_summary(snap))
     print(f"prometheus exposition: {out}")
     print(f"metrics jsonl:         {jsonl}")

@@ -31,7 +31,7 @@ from ..exceptions import ConfigurationError, ShapeError
 from ..nn import Conv2d, ConvTranspose2d, LeakyReLU, Module, Sequential
 from ..obs import metrics as obs_metrics
 from ..obs import trace
-from ..tensor import Tensor, no_grad, perf
+from ..tensor import Tensor, no_grad
 from ..tensor.blocked import conv2d_forward_blocked, should_block
 from ..tensor.im2col import col2im, conv_output_size
 from ..tensor.precision import default_dtype
@@ -181,7 +181,8 @@ class InferencePlan:
     by a ``LeakyReLU`` into one GEMM-epilogue step, and binds all
     scratch to a plan-owned :class:`Workspace`.  After the first
     ``run`` call the arena is warm and subsequent runs create zero new
-    buffers (asserted in the tests via the perf-counter registry).
+    buffers (asserted in the tests via the ``workspace.bytes_allocated``
+    metrics counter).
 
     The plan holds *references* to the model's parameter storage, so it
     stays valid across in-place weight updates; structural edits
@@ -276,7 +277,7 @@ class InferencePlan:
         data = np.asarray(x)
         if data.ndim != 4:
             raise ShapeError(f"InferencePlan.run expects (N, C, H, W), got {data.shape}")
-        with perf.timed("plan.run"):
+        with trace.span("plan.run", cat="compute"):
             h = data
             owned = False
             if h.dtype != self.compute_dtype:

@@ -157,6 +157,10 @@ class ProcessCommunicator(Communicator):
     def _recv(self, source: int, tag: int, timeout: float | None) -> tuple[Any, Status]:
         deadline = None if timeout is None else time.monotonic() + timeout
         mailbox = self._mailboxes[self._rank]
+        # Blocked-wait accounting, as in MessageRouter.collect: the time
+        # spent in mailbox.get becomes one "mailbox.wait" span (cat
+        # "comm.wait") on a successful match.
+        waited = 0.0
         while True:
             self._drain()
             if obs_metrics.enabled():
@@ -164,6 +168,12 @@ class ProcessCommunicator(Communicator):
             self._check_failed()
             env = self._match(source, tag, remove=True)
             if env is not None:
+                if waited > 0.0 and trace.enabled():
+                    trace.record(
+                        "mailbox.wait", "comm.wait",
+                        trace.clock() - waited, dur=waited,
+                        source=env.source, dest=self._rank, tag=env.tag,
+                    )
                 return self._deliver(env)
             remaining = None if deadline is None else deadline - time.monotonic()
             if remaining is not None and remaining <= 0:
@@ -185,10 +195,14 @@ class ProcessCommunicator(Communicator):
                     if wait is None
                     else min(wait, _HEARTBEAT_POLL_SECONDS)
                 )
+            wait_start = trace.clock() if trace.enabled() else None
             try:
                 item = mailbox.get(timeout=wait)
             except queue_module.Empty:
                 continue
+            finally:
+                if wait_start is not None:
+                    waited += trace.clock() - wait_start
             self._admit(item)
 
     def _iprobe(self, source: int, tag: int) -> bool:
@@ -264,13 +278,13 @@ def _worker_main(
     mailboxes: Sequence[Any],
     result_queue: Any,
     deadlock_timeout: float | None,
-    obs_flags: tuple[bool, bool, bool] = (False, False, False),
+    obs_flags: tuple[bool, bool] = (False, False),
     precision: str = "float64",
     heartbeats: Any = None,
 ) -> None:
     """Entry point of one rank process (module-level for spawn support).
 
-    ``obs_flags`` is ``(tracing, perf, metrics)`` as observed in the
+    ``obs_flags`` is ``(tracing, metrics)`` as observed in the
     parent at launch: module-level enable state does not survive a
     ``spawn``, and under ``fork`` the child additionally inherits the
     parent's event buffers, which must be cleared so the rank ships
@@ -282,7 +296,7 @@ def _worker_main(
     mirrored into slot ``rank`` so the parent's supervisor can detect a
     stall without any queue traffic.
     """
-    trace_on, perf_on, metrics_on = (*obs_flags, False, False)[:3]
+    trace_on, metrics_on = obs_flags
     from ..tensor.precision import set_precision
 
     set_precision(precision)
@@ -290,11 +304,6 @@ def _worker_main(
     if trace_on:
         trace.reset()
         trace.enable()
-    if perf_on:
-        from ..tensor import perf
-
-        perf.reset()
-        perf.enable()
     if metrics_on:
         obs_metrics.reset()
         obs_metrics.enable()
@@ -315,7 +324,7 @@ def _worker_main(
         comm.release_undelivered()
         obs_metrics.set_heartbeat_sink(None)
     bundle = None
-    if trace_on or perf_on or metrics_on:
+    if trace_on or metrics_on:
         # Captured on the error path too: post-mortem traces must
         # survive a crashed rank.
         from ..obs import aggregate
@@ -360,10 +369,9 @@ def run_parallel_processes(
     ctx = multiprocessing.get_context(method)
     mailboxes = [ctx.Queue() for _ in range(size)]
     result_queue = ctx.Queue()
-    from ..tensor import perf
     from ..tensor.precision import get_precision
 
-    obs_flags = (trace.enabled(), perf.perf_enabled(), obs_metrics.enabled())
+    obs_flags = (trace.enabled(), obs_metrics.enabled())
     precision = get_precision()
     heartbeats = (
         ctx.Array("d", size, lock=False) if heartbeat_timeout is not None else None

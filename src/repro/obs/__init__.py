@@ -14,7 +14,7 @@ The observability layer for the parallel-training reproduction:
 * :mod:`repro.obs.metrics_export` — Prometheus text exposition,
   ``repro-metrics-v1`` JSONL, and the human metrics summary.
 * :mod:`repro.obs.aggregate` — :class:`TraceBundle` capture/absorb for
-  shipping rank telemetry (spans + perf counters + metrics) from
+  shipping rank telemetry (spans + metrics) from
   process-backend workers to the parent, including post-mortem on
   abort.
 * :mod:`repro.obs.callback` — :class:`ObsCallback`, the engine metrics

@@ -12,6 +12,9 @@ Three consumers, three formats:
 * :func:`format_summary` — the per-rank table the paper's scaling
   story needs: wall seconds split into compute vs. communication, plus
   message/byte counts and blocked-wait time.
+* :func:`format_op_table` — the ``repro perf`` kernel report: compute
+  spans grouped by name (calls, seconds) plus the workspace byte
+  counters of :mod:`repro.obs.metrics`.
 
 Category accounting (the part that is easy to get wrong): summary
 communication seconds sum only the *primitive* categories ``comm``
@@ -47,6 +50,8 @@ __all__ = [
     "summary",
     "format_summary",
     "write_summary",
+    "op_stats",
+    "format_op_table",
 ]
 
 #: Categories whose span durations count as communication seconds.
@@ -298,3 +303,52 @@ def write_summary(path: str | pathlib.Path, spans: Iterable[Span]) -> pathlib.Pa
                for rank, row in per_rank.items()}
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return path
+
+
+# ----------------------------------------------------------------------
+# Kernel op table
+# ----------------------------------------------------------------------
+def op_stats(spans: Iterable[Span]) -> dict[str, dict[str, float]]:
+    """``{name: {"calls", "seconds"}}`` over every ``"compute"`` span,
+    summed across ranks (nested kernels each count their own time)."""
+    stats: dict[str, dict[str, float]] = {}
+    for s in spans:
+        if s.cat == "compute":
+            row = stats.setdefault(s.name, {"calls": 0, "seconds": 0.0})
+            row["calls"] += 1
+            row["seconds"] += s.dur
+    return stats
+
+
+def _human_bytes(nbytes: float) -> str:
+    value = float(nbytes)
+    for unit in ("B", "KiB", "MiB"):
+        if value < 1024.0:
+            return f"{int(value)}B" if unit == "B" else f"{value:.1f}{unit}"
+        value /= 1024.0
+    return f"{value:.1f}GiB"
+
+
+def format_op_table(
+    spans: Iterable[Span], bytes_allocated: float = 0, bytes_reused: float = 0
+) -> str:
+    """The op/calls/seconds/alloc/reused table of ``repro perf``.
+
+    One row per compute span name (:func:`op_stats`) and a
+    ``workspace`` row carrying the ``workspace.bytes_allocated`` /
+    ``workspace.bytes_reused`` counter totals passed in.
+    """
+    stats = op_stats(spans)
+    if not stats and not (bytes_allocated or bytes_reused):
+        return "op table: no compute spans recorded (enable the tracer first)"
+    rows = {name: (row["calls"], row["seconds"], 0, 0) for name, row in stats.items()}
+    if bytes_allocated or bytes_reused:
+        rows["workspace"] = (0, 0.0, bytes_allocated, bytes_reused)
+    lines = [f"{'op':<28} {'calls':>8} {'seconds':>10} {'alloc':>10} {'reused':>10}"]
+    for name in sorted(rows):
+        calls, seconds, alloc, reused = rows[name]
+        lines.append(
+            f"{name:<28} {calls:>8} {seconds:>10.4f} "
+            f"{_human_bytes(alloc):>10} {_human_bytes(reused):>10}"
+        )
+    return "\n".join(lines)

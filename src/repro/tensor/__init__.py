@@ -60,7 +60,6 @@ from .ops_shape import concatenate, flip, getitem, pad, reshape, stack, transpos
 from .ops_matmul import matmul  # noqa: E402
 from .ops_conv import conv2d, conv2d_forward, conv_transpose2d  # noqa: E402
 from .im2col import col2im, conv_output_size, im2col  # noqa: E402
-from . import perf  # noqa: E402
 from .fused import add_, bias_leaky_relu_, leaky_relu_, mul_  # noqa: E402
 from .workspace import (  # noqa: E402
     Workspace,
@@ -132,12 +131,11 @@ __all__ = [
     "im2col",
     "col2im",
     "conv_output_size",
-    # workspace / fused / perf layer
+    # workspace / fused layer
     "Workspace",
     "WorkspaceStats",
     "get_workspace",
     "workspace_disabled",
-    "perf",
     "add_",
     "mul_",
     "leaky_relu_",

@@ -32,7 +32,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..exceptions import ShapeError
-from . import perf
+from ..obs import trace
 from .im2col import conv_output_size
 from .workspace import Workspace
 
@@ -96,7 +96,7 @@ def conv2d_forward_blocked(
     ph, pw = padding
     oh = conv_output_size(h, kh, sh, ph)
     ow = conv_output_size(w, kw, sw, pw)
-    with perf.timed("conv2d.blocked"):
+    with trace.span("conv2d.blocked", cat="compute"):
         if ph or pw:
             if workspace is not None:
                 padded = workspace.request(
@@ -175,7 +175,7 @@ def conv2d_forward_blocked(
                     # elementwise max(z, slope*z) arithmetic as
                     # bias_leaky_relu_, so results stay bit-identical
                     # to the monolithic fused path.
-                    with perf.timed("fused.bias_leaky_relu"):
+                    with trace.span("fused.bias_leaky_relu", cat="compute"):
                         scaled = scaled_strip[:, : r1 - r0, :]
                         if bias_col is not None:
                             np.add(dest, bias_col, out=dest)

@@ -30,7 +30,8 @@ from typing import Any
 import numpy as np
 
 from ..exceptions import AutogradError
-from . import autograd, perf
+from ..obs import trace
+from . import autograd
 from .tensor import Tensor
 from .workspace import Workspace
 
@@ -101,7 +102,7 @@ def bias_leaky_relu_(
     the masked form is what originally made the fused conv *lose* to
     the plain one at 256x256.
     """
-    with perf.timed("fused.bias_leaky_relu"):
+    with trace.span("fused.bias_leaky_relu", cat="compute"):
         if bias is not None:
             out += bias
         if workspace is not None:
@@ -116,7 +117,7 @@ def bias_leaky_relu_(
 def leaky_relu_(x: Any, negative_slope: float = 0.01) -> Any:
     """In-place leaky ReLU (inference only); returns ``x``."""
     data = _writable(x, "leaky_relu_")
-    with perf.timed("fused.leaky_relu_"):
+    with trace.span("fused.leaky_relu_", cat="compute"):
         mask = data < 0.0
         np.multiply(data, negative_slope, out=data, where=mask)
     return x
@@ -125,7 +126,7 @@ def leaky_relu_(x: Any, negative_slope: float = 0.01) -> Any:
 def add_(x: Any, other: Any) -> Any:
     """In-place ``x += other`` (inference only); returns ``x``."""
     data = _writable(x, "add_")
-    with perf.timed("fused.add_"):
+    with trace.span("fused.add_", cat="compute"):
         data += other.data if isinstance(other, Tensor) else other
     return x
 
@@ -133,6 +134,6 @@ def add_(x: Any, other: Any) -> Any:
 def mul_(x: Any, other: Any) -> Any:
     """In-place ``x *= other`` (inference only); returns ``x``."""
     data = _writable(x, "mul_")
-    with perf.timed("fused.mul_"):
+    with trace.span("fused.mul_", cat="compute"):
         data *= other.data if isinstance(other, Tensor) else other
     return x

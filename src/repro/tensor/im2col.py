@@ -24,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..exceptions import ShapeError
-from . import perf
+from ..obs import trace
 from .workspace import Workspace
 
 
@@ -76,7 +76,7 @@ def im2col(
     ph, pw = padding
     oh = conv_output_size(h, kh, sh, ph)
     ow = conv_output_size(w, kw, sw, pw)
-    with perf.timed("im2col"):
+    with trace.span("im2col", cat="compute"):
         if ph or pw:
             if workspace is not None:
                 # The slot encodes the padding split: two callers whose
@@ -148,7 +148,7 @@ def col2im(
     if cols.shape != expected:
         raise ShapeError(f"col2im expected cols of shape {expected}, got {cols.shape}")
 
-    with perf.timed("col2im"):
+    with trace.span("col2im", cat="compute"):
         patches = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
         padded_shape = (n, c, h + 2 * ph, w + 2 * pw)
         if workspace is not None:

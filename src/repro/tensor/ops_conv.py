@@ -34,7 +34,8 @@ from typing import Any
 import numpy as np
 
 from ..exceptions import ConfigurationError, ShapeError
-from . import autograd, gemm, perf
+from ..obs import trace
+from . import autograd, gemm
 from .blocked import conv2d_forward_blocked, should_block
 from .fused import bias_leaky_relu_, leaky_relu_scale
 from .im2col import col2im, conv_output_size, im2col
@@ -176,7 +177,7 @@ def conv2d(
         if should_block(n, c, oh, ow, kh, kw, compute.itemsize):
             # Large shapes: strip-mined kernel (nothing kept — there is
             # no backward on this path).
-            with perf.timed("conv2d"):
+            with trace.span("conv2d", cat="compute"):
                 out, _ = conv2d_forward_blocked(
                     tx.data,
                     tw.data,
@@ -189,7 +190,7 @@ def conv2d(
                 )
             return Tensor.from_op(out, parents, _no_backward, "conv2d")
 
-    with perf.timed("conv2d"):
+    with trace.span("conv2d", cat="compute"):
         out, cols, wmat, act_scale, (oh, ow) = conv2d_forward(
             tx.data,
             tw.data,
@@ -211,7 +212,7 @@ def conv2d(
         # can never recycle them mid-closure.
         ws = get_workspace()
         uniform = grad.dtype == wmat.dtype == cols.dtype
-        with perf.timed("conv2d.backward"):
+        with trace.span("conv2d.backward", cat="compute"):
             # grad: (N, F, OH, OW) -> (N*OH*OW, F)
             if ws is not None and uniform:
                 gmat = ws.request("conv2d.bwd.gmat", (n * oh * ow, f), grad.dtype)
@@ -300,7 +301,7 @@ def conv_transpose2d(
     # Forward of the transpose-conv == input-gradient of a conv whose
     # input has shape (n, f, oh, ow): scatter rows of x @ W into the
     # output image with col2im.
-    with perf.timed("conv_transpose2d"):
+    with trace.span("conv_transpose2d", cat="compute"):
         wmat = tw.data.reshape(c, f * kh * kw)
         xmat = tx.data.transpose(0, 2, 3, 1).reshape(n * h * w, c)
         cols = xmat @ wmat  # (N*H*W, F*kh*kw)

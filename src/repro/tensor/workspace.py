@@ -25,6 +25,10 @@ for slots whose algorithm needs a clean buffer on *every* request (the
 the padding split in the slot name and only ever write the interior,
 so their borders stay zero for the buffer's whole lifetime.
 
+Every hand-out is also counted, while :mod:`repro.obs.metrics` is
+collecting, in the rank-tagged ``workspace.bytes_allocated`` and
+``workspace.bytes_reused`` counters.
+
 Thread and fork semantics
 -------------------------
 The default arena returned by :func:`get_workspace` is **per-thread**
@@ -46,7 +50,7 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from . import perf
+from ..obs import metrics as obs_metrics
 
 __all__ = [
     "Workspace",
@@ -54,6 +58,9 @@ __all__ = [
     "get_workspace",
     "workspace_disabled",
 ]
+
+_BYTES_ALLOCATED = obs_metrics.counter("workspace.bytes_allocated")
+_BYTES_REUSED = obs_metrics.counter("workspace.bytes_reused")
 
 
 @dataclass
@@ -113,12 +120,12 @@ class Workspace:
             self._buffers[key] = buffer
             self.stats.buffers_created += 1
             self.stats.bytes_allocated += buffer.nbytes
-            perf.record_bytes("workspace", buffer.nbytes, reused=False)
+            _BYTES_ALLOCATED.inc(buffer.nbytes)
         else:
             if zero:
                 buffer.fill(0)
             self.stats.bytes_reused += buffer.nbytes
-            perf.record_bytes("workspace", buffer.nbytes, reused=True)
+            _BYTES_REUSED.inc(buffer.nbytes)
         return buffer
 
     @property
@@ -180,7 +187,7 @@ def workspace_disabled() -> Iterator[None]:
 def _drop_after_fork() -> None:
     # A forked rank process inherits the forking thread's arena as a
     # copy-on-write image; drop it so the child starts cold and its
-    # statistics (and the perf registry's byte counters) are its own.
+    # statistics are its own.
     _tls.workspace = None
 
 

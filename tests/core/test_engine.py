@@ -250,33 +250,35 @@ class TestEarlyStopping:
             EarlyStopping(patience=1, min_delta=-0.1)
 
 
-class TestPerfCounters:
-    def test_fit_populates_perf_report(self):
-        from repro.core import PerfCounters
-        from repro.tensor import perf
+class TestTracedOpTable:
+    """Per-op kernel timings of a fit come from its trace spans."""
+
+    def test_traced_fit_populates_op_table(self):
+        from repro.obs import export, trace
 
         config = TrainingConfig(epochs=2, batch_size=5, lr=0.01, loss="mse", seed=0)
-        lines = []
-        engine = Engine(
-            small_model(), config, callbacks=(PerfCounters(log=lines.append),)
+        trace.reset()
+        with trace.tracing():
+            Engine(small_model(), config).fit(toy_dataset())
+        spans = trace.spans()
+        trace.reset()
+        ops = export.op_stats(spans)
+        assert ops["conv2d"]["calls"] > 0
+        assert ops["conv2d"]["seconds"] > 0.0
+        assert any(
+            line.startswith("conv2d ") for line in export.format_op_table(spans).splitlines()
         )
-        engine.fit(toy_dataset())
-        assert engine.perf_report is not None
-        assert engine.perf_report["conv2d"].calls > 0
-        assert engine.perf_report["conv2d"].seconds > 0.0
-        assert any("conv2d" in line for line in lines)
-        # The callback restores the registry's prior (disabled) state.
-        assert not perf.perf_enabled()
 
-    def test_training_identical_with_and_without_counters(self):
-        from repro.core import PerfCounters
+    def test_training_identical_with_and_without_tracing(self):
+        from repro.obs import trace
 
         config = TrainingConfig(epochs=3, batch_size=5, lr=0.01, loss="mse", seed=0)
         plain = Engine(small_model(), config).fit(toy_dataset())
-        counted = Engine(
-            small_model(), config, callbacks=(PerfCounters(),)
-        ).fit(toy_dataset())
-        assert plain.epoch_losses == counted.epoch_losses
+        trace.reset()
+        with trace.tracing():
+            traced = Engine(small_model(), config).fit(toy_dataset())
+        trace.reset()
+        assert plain.epoch_losses == traced.epoch_losses
 
 
 class TestCheckpointer:

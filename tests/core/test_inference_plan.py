@@ -3,8 +3,8 @@
 The acceptance bar for the workspace/fusion layer: a compiled plan must
 be bit-identical to the module-by-module forward for every padding
 strategy, must stop allocating after its warmup run (pinned through the
-perf-counter registry), and must leave MPI rollouts unchanged on both
-execution backends.
+``workspace.bytes_allocated`` metrics counter), and must leave MPI
+rollouts unchanged on both execution backends.
 """
 
 import numpy as np
@@ -20,7 +20,8 @@ from repro.core import (
 from repro.domain import BlockDecomposition
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.nn import Conv2d, LeakyReLU, Module, Sequential
-from repro.tensor import Tensor, no_grad, perf
+from repro.obs import metrics, trace
+from repro.tensor import Tensor, no_grad
 
 STRATEGIES = [
     PaddingStrategy.ZERO,
@@ -108,24 +109,28 @@ class TestPlanEquivalence:
 
 class TestAllocationFreedom:
     def test_zero_new_buffers_after_warmup(self, rng):
-        """The tentpole property, asserted through the perf-counter
-        registry: after the warmup run every workspace request is a hit,
-        so the registry records reused bytes and zero allocated bytes."""
+        """The tentpole property, asserted through the workspace
+        metrics counters: after the warmup run every workspace request
+        is a hit, so they record reused bytes and zero allocated bytes."""
         model = make_model(PaddingStrategy.TRANSPOSE)  # conv + tconv steps
         plan = InferencePlan(model)
         x = rng.standard_normal((1, 4, 12, 12))
         plan.run(x)  # warmup
         created = plan.workspace.stats.buffers_created
-        perf.reset()
-        with perf.collecting():
+        trace.reset()
+        metrics.reset()
+        with trace.tracing(), metrics.collecting():
             for _ in range(3):
                 plan.run(x)
-        counters = perf.snapshot()
-        perf.reset()
+        allocated = metrics.counter("workspace.bytes_allocated").total()
+        reused = metrics.counter("workspace.bytes_reused").total()
+        runs = [s for s in trace.spans() if s.name == "plan.run"]
+        trace.reset()
+        metrics.reset()
         assert plan.workspace.stats.buffers_created == created
-        assert counters["workspace"].bytes_allocated == 0
-        assert counters["workspace"].bytes_reused > 0
-        assert counters["plan.run"].calls == 3
+        assert allocated == 0
+        assert reused > 0
+        assert len(runs) == 3
 
     def test_warm_arena_is_fully_hit(self, rng):
         model = make_model(PaddingStrategy.NEIGHBOR_ALL)

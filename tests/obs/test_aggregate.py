@@ -1,12 +1,20 @@
 """Cross-process telemetry: bundle capture/absorb and the process
 backend's trace round-trip — including the abort (post-mortem) path."""
 
+import time
+
+import numpy as np
 import pytest
 
 from repro import mpi
-from repro.obs import aggregate, export, trace
+from repro.obs import aggregate, export, metrics, trace
 from repro.obs.trace import Metric, Span
-from repro.tensor import perf
+from repro.tensor import Workspace, im2col
+
+
+def _kernel_work() -> None:
+    """One traced kernel call drawing scratch from a fresh arena."""
+    im2col(np.ones((1, 2, 6, 6)), (3, 3), padding=(1, 1), workspace=Workspace())
 
 
 class TestBundle:
@@ -41,16 +49,18 @@ class TestBundle:
         assert trace.spans() == []
 
     def test_capture_includes_perf_snapshot_when_collecting(self):
-        perf.enable()
-        perf.record_call("op", 0.5)
-        with trace.tracing():
-            with trace.span("s"):
-                pass
+        # Kernel timings ride as spans, workspace bytes as metrics.
+        with trace.tracing(), metrics.collecting():
+            _kernel_work()
         bundle = aggregate.capture(rank=0)
-        assert bundle.perf_counters["op"].calls == 1
-        perf.reset()
+        assert "im2col" in {s.name for s in bundle.spans}
+        assert "workspace.bytes_allocated" in bundle.metrics_state
+        allocated = metrics.counter("workspace.bytes_allocated").total()
+        trace.reset()
+        metrics.reset()
         aggregate.absorb(bundle)
-        assert perf.snapshot()["op"].calls == 1
+        assert "im2col" in {s.name for s in trace.spans()}
+        assert metrics.counter("workspace.bytes_allocated").value(0) == allocated > 0
 
 
 class TestProcessBackendRoundTrip:
@@ -110,17 +120,20 @@ class TestProcessBackendRoundTrip:
         ]
         assert crashed, "the crashed rank's telemetry must survive the abort"
 
-    def test_perf_counters_merge_across_processes(self):
+    def test_kernel_spans_and_workspace_counters_merge_across_processes(self):
         def program(comm):
-            perf.record_call("child.op", 0.125)
+            _kernel_work()
             comm.barrier()
             return None
 
-        perf.enable()
-        mpi.run_parallel(program, 2, backend="processes", timeout=120)
-        counters = perf.snapshot()
-        assert counters["child.op"].calls == 2
-        assert counters["child.op"].seconds == pytest.approx(0.25)
+        with trace.tracing(), metrics.collecting():
+            mpi.run_parallel(program, 2, backend="processes", timeout=120)
+        kernels = [s for s in trace.spans() if s.name == "im2col"]
+        assert {s.rank for s in kernels} == {0, 1}
+        assert all(s.cat == "compute" and s.dur > 0 for s in kernels)
+        allocated = metrics.counter("workspace.bytes_allocated")
+        assert allocated.value(0) > 0
+        assert allocated.value(0) == allocated.value(1)
 
     def test_untraced_run_ships_no_bundles(self):
         def program(comm):
@@ -145,3 +158,20 @@ class TestProcessBackendRoundTrip:
         names = {(s.rank, s.name) for s in trace.spans()}
         assert (0, "mpi.send") in names
         assert (1, "mpi.recv") in names
+
+
+@pytest.mark.parametrize("backend", ["threads", "processes"])
+def test_blocked_recv_reports_wait_on_both_backends(backend):
+    def program(comm):
+        if comm.rank == 0:
+            time.sleep(0.2)
+            comm.send(b"late", dest=1, tag=5)
+        else:
+            comm.recv(source=0, tag=5)
+        return None
+
+    with trace.tracing():
+        mpi.run_parallel(program, 2, backend=backend, timeout=120)
+    per_rank = export.summary(trace.spans())
+    assert per_rank[1]["wait_seconds"] >= 0.1
+    assert per_rank[0]["wait_seconds"] == 0.0

@@ -6,7 +6,6 @@ import time
 import pytest
 
 from repro.obs import trace
-from repro.tensor import perf
 
 
 class TestEnableDisable:
@@ -178,22 +177,3 @@ class TestRankContext:
             t.join()
         assert seen == {0: 0, 1: 1, 2: 2}
         assert trace.current_rank() is None
-
-
-class TestCounters:
-    def test_span_captures_perf_delta(self):
-        perf.enable()
-        with trace.tracing():
-            with trace.span("step", counters=True):
-                perf.record_call("conv2d", 0.25)
-                perf.record_call("conv2d", 0.25)
-        (s,) = trace.spans()
-        assert s.args["counters"]["conv2d"]["calls"] == 2
-        assert s.args["counters"]["conv2d"]["seconds"] == pytest.approx(0.5)
-
-    def test_counters_flag_without_perf_adds_nothing(self):
-        with trace.tracing():
-            with trace.span("step", counters=True):
-                pass
-        (s,) = trace.spans()
-        assert s.args is None

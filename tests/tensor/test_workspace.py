@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.tensor import perf
+from repro.obs import metrics
 from repro.tensor.workspace import (
     Workspace,
     get_workspace,
@@ -109,22 +109,25 @@ class TestStats:
 
 
 class TestPerfIntegration:
+    """Arena byte accounting feeds the ``repro.obs.metrics`` counters."""
+
     def test_bytes_feed_registry_when_collecting(self):
-        perf.reset()
+        metrics.reset()
         ws = Workspace()
-        with perf.collecting():
+        with metrics.collecting():
             ws.request("a", (10,), np.float64)
             ws.request("a", (10,), np.float64)
-        counters = perf.snapshot()
-        assert counters["workspace"].bytes_allocated == 80
-        assert counters["workspace"].bytes_reused == 80
-        perf.reset()
+        assert metrics.counter("workspace.bytes_allocated").total() == 80
+        assert metrics.counter("workspace.bytes_reused").total() == 80
+        metrics.reset()
 
     def test_silent_while_disabled(self):
-        perf.reset()
-        assert not perf.perf_enabled()
+        metrics.reset()
+        assert not metrics.enabled()
         Workspace().request("a", (10,), np.float64)
-        assert "workspace" not in perf.snapshot()
+        snap = metrics.snapshot()
+        assert "workspace.bytes_allocated" not in snap
+        assert "workspace.bytes_reused" not in snap
 
 
 class TestThreadDefault:
