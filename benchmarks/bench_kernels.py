@@ -349,17 +349,17 @@ def _metrics_rollout_pair_setup():
 
 
 def test_rollout_step_metrics_off_96(benchmark):
-    """The B side of the metrics-overhead ordering gate: a 3-step
-    two-rank rollout with the metrics registry disabled (every metered
-    site pays only its module-flag check)."""
-    from repro.obs import metrics
+    """The B side of the obs-overhead ordering gate: a 3-step two-rank
+    rollout with the tracer off (every instrumented site pays only its
+    flag check)."""
+    from repro.obs import trace
 
     benchmark.extra_info["grid"] = 96
     benchmark.extra_info["ranks"] = 2
     benchmark.extra_info["steps"] = 3
     benchmark.extra_info["metrics"] = "off"
     predictor, initial = _metrics_rollout_pair_setup()
-    assert not metrics.enabled()
+    assert not trace.enabled()
     predictor.rollout(initial, num_steps=1)  # warm arenas before timing
 
     out = benchmark.pedantic(
@@ -372,10 +372,11 @@ def test_rollout_step_metrics_off_96(benchmark):
 
 
 def test_rollout_step_metrics_on_96(benchmark):
-    """The A side of the gate: the identical rollout with the metrics
-    registry collecting (step histograms, byte counters, heartbeats).
-    CI asserts A <= B * 1.02 — metrics-enabled overhead under 2%."""
-    from repro.obs import metrics
+    """The A side of the gate: the identical rollout with the tracer on,
+    which also switches the metrics registry (spans, step histograms,
+    byte counters, heartbeats).  CI asserts A <= B * 1.02 — obs-enabled
+    overhead under 2%."""
+    from repro.obs import metrics, trace
 
     benchmark.extra_info["grid"] = 96
     benchmark.extra_info["ranks"] = 2
@@ -384,8 +385,8 @@ def test_rollout_step_metrics_on_96(benchmark):
     predictor, initial = _metrics_rollout_pair_setup()
     predictor.rollout(initial, num_steps=1)  # warm arenas before timing
 
-    metrics.reset()
-    with metrics.collecting():
+    trace.reset()
+    with trace.tracing():
         out = benchmark.pedantic(
             lambda: predictor.rollout(initial, num_steps=3),
             rounds=METRICS_ROLLOUT_ROUNDS,
@@ -394,4 +395,4 @@ def test_rollout_step_metrics_on_96(benchmark):
         )
     assert out.trajectory.shape == (4, 4, 96, 96)
     assert metrics.histogram("rollout.step_seconds").count(0) > 0
-    metrics.reset()
+    trace.reset()

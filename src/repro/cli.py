@@ -63,27 +63,43 @@ import numpy as np
 
 
 @contextlib.contextmanager
-def _trace_session(path: str | None) -> Iterator[None]:
-    """Run the body traced; export Chrome JSON + JSONL + summary after.
+def _obs_session(trace_path: str | None, metrics_path: str | None) -> Iterator[None]:
+    """Run one command as one observability session.
+
+    Clears the :mod:`repro.obs` buffers and instrument values once,
+    runs the body with the tracer on when ``--trace`` or ``--metrics``
+    asked for an artifact, then writes each one requested (see
+    :func:`_write_trace` / :func:`_write_metrics`).
+    """
+    from .obs import trace
+
+    trace.reset()
+    if trace_path is None and metrics_path is None:
+        yield
+        return
+    with trace.tracing():
+        yield
+    if trace_path is not None:
+        _write_trace(trace_path)
+    if metrics_path is not None:
+        _write_metrics(metrics_path)
+
+
+def _write_trace(path: str, meta: dict | None = None) -> None:
+    """Export the trace buffer and print its per-rank summary.
 
     ``path`` is the Chrome-trace output; the raw event log and the
     per-rank summary JSON are written alongside it (``.jsonl`` /
-    ``.summary.json``).  No-op when ``path`` is ``None``.
+    ``.summary.json``).
     """
-    if path is None:
-        yield
-        return
     from .obs import export, trace
 
-    trace.reset()
-    with trace.tracing():
-        yield
     spans, metrics = trace.spans(), trace.metrics()
     dropped = trace.dropped()
     out = pathlib.Path(path)
     export.write_chrome_trace(out, spans, metrics)
     jsonl = export.write_jsonl(out.with_suffix(".jsonl"), spans, metrics,
-                               dropped=dropped)
+                               meta=meta, dropped=dropped)
     summary = export.write_summary(out.with_suffix(".summary.json"), spans)
     print(export.format_summary(spans, dropped=dropped))
     print(f"chrome trace: {out} (load via chrome://tracing)")
@@ -91,26 +107,18 @@ def _trace_session(path: str | None) -> Iterator[None]:
     print(f"summary json: {summary}")
 
 
-@contextlib.contextmanager
-def _metrics_session(path: str | None) -> Iterator[None]:
-    """Run the body with the metrics registry collecting; export after.
+def _write_metrics(path: str, meta: dict | None = None) -> None:
+    """Export the metrics registry and print its per-rank summary.
 
     ``path`` receives the Prometheus text exposition; the
-    ``repro-metrics-v1`` JSONL lands alongside (``.jsonl``).  No-op
-    when ``path`` is ``None``.
+    ``repro-metrics-v1`` JSONL lands alongside (``.jsonl``).
     """
-    if path is None:
-        yield
-        return
     from .obs import metrics, metrics_export
 
-    metrics.reset()
-    with metrics.collecting():
-        yield
     snap = metrics.snapshot()
     out = pathlib.Path(path)
     metrics_export.write_prometheus(out, snap)
-    jsonl = metrics_export.write_metrics_jsonl(out.with_suffix(".jsonl"), snap)
+    jsonl = metrics_export.write_metrics_jsonl(out.with_suffix(".jsonl"), snap, meta=meta)
     print(metrics_export.format_metrics_summary(snap))
     print(f"prometheus exposition: {out}")
     print(f"metrics jsonl:         {jsonl}")
@@ -1032,12 +1040,14 @@ def _cmd_check(args) -> int:
     return 0 if ok else 1
 
 
-def _observed_rollout(args, *collectors) -> None:
+def _observed_rollout(args) -> dict:
     """Roll out untrained paper CNNs on a ``--pgrid`` decomposition with
-    every context manager in ``collectors`` entered — the one workload
-    behind ``repro perf``, ``repro trace`` and ``repro metrics``."""
+    the tracer on — the one workload behind ``repro perf``, ``repro
+    trace`` and ``repro metrics``.  Returns the JSONL ``meta`` header
+    describing it."""
     from .core import ParallelPredictor, build_paper_cnn
     from .domain.decomposition import BlockDecomposition
+    from .obs import trace
     from .scenarios import channels
 
     rng = np.random.default_rng(args.seed)
@@ -1053,11 +1063,10 @@ def _observed_rollout(args, *collectors) -> None:
     ]
     predictor = ParallelPredictor(models, BlockDecomposition((size, size), (py, px)))
     initial = rng.standard_normal((num_channels, size, size))
-    with contextlib.ExitStack() as stack:
-        for collector in collectors:
-            stack.enter_context(collector)
+    with trace.tracing():
         predictor.rollout(initial, num_steps=args.steps, execution=args.execution)
     print(f"rollout: {args.steps} steps on a {py}x{px} grid ({args.execution} backend)")
+    return {"workload": "rollout", "execution": args.execution, "ranks": py * px}
 
 
 def _cmd_perf(args) -> int:
@@ -1107,10 +1116,8 @@ def _cmd_perf(args) -> int:
     # Kernel spans and workspace counters cover every rank on either
     # backend: thread ranks record into this process directly; process
     # ranks ship theirs back through the obs aggregation path.
-    trace.reset()
-    metrics.reset()
     print()
-    _observed_rollout(args, trace.tracing(), metrics.collecting())
+    _observed_rollout(args)
     print(
         export.format_op_table(
             trace.spans(),
@@ -1122,54 +1129,22 @@ def _cmd_perf(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from .obs import export, trace
+    from .obs import export
 
     if args.from_path:
         spans, metrics = export.read_jsonl(args.from_path)
+        dropped = export.read_jsonl_meta(args.from_path).get("dropped", 0)
         export.write_chrome_trace(args.output, spans, metrics)
-        print(export.format_summary(spans))
+        print(export.format_summary(spans, dropped=dropped))
         print(f"chrome trace: {args.output} (load via chrome://tracing)")
         return 0
 
-    trace.reset()
-    _observed_rollout(args, trace.tracing())
-    spans, metrics = trace.spans(), trace.metrics()
-    dropped = trace.dropped()
-    out = pathlib.Path(args.output)
-    export.write_chrome_trace(out, spans, metrics)
-    py, px = args.pgrid
-    jsonl = export.write_jsonl(
-        out.with_suffix(".jsonl"),
-        spans,
-        metrics,
-        meta={"workload": "rollout", "execution": args.execution, "ranks": py * px},
-        dropped=dropped,
-    )
-    summary = export.write_summary(out.with_suffix(".summary.json"), spans)
-    print(export.format_summary(spans, dropped=dropped))
-    print(f"chrome trace: {out} (load via chrome://tracing)")
-    print(f"event log:    {jsonl}")
-    print(f"summary json: {summary}")
+    _write_trace(args.output, meta=_observed_rollout(args))
     return 0
 
 
 def _cmd_metrics(args) -> int:
-    from .obs import metrics, metrics_export
-
-    metrics.reset()
-    _observed_rollout(args, metrics.collecting())
-    snap = metrics.snapshot()
-    out = pathlib.Path(args.output)
-    metrics_export.write_prometheus(out, snap)
-    py, px = args.pgrid
-    jsonl = metrics_export.write_metrics_jsonl(
-        out.with_suffix(".jsonl"),
-        snap,
-        meta={"workload": "rollout", "execution": args.execution, "ranks": py * px},
-    )
-    print(metrics_export.format_metrics_summary(snap))
-    print(f"prometheus exposition: {out}")
-    print(f"metrics jsonl:         {jsonl}")
+    _write_metrics(args.output, meta=_observed_rollout(args))
     return 0
 
 
@@ -1195,9 +1170,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     from .obs import log as obs_log
 
     obs_log.configure(args.log_level.upper())
-    with _trace_session(getattr(args, "trace", None)), _metrics_session(
-        getattr(args, "metrics", None)
-    ):
+    with _obs_session(getattr(args, "trace", None), getattr(args, "metrics", None)):
         return _COMMANDS[args.command](args)
 
 

@@ -69,8 +69,8 @@ __all__ = [
     "evaluate_model",
 ]
 
-#: Training-loop instruments (rank-tagged; no-ops while the metrics
-#: registry is off — see :mod:`repro.obs.metrics`).
+#: Training-loop instruments (rank-tagged; no-ops while the tracer is
+#: off — see :mod:`repro.obs.metrics`).
 _STEP_SECONDS = obs_metrics.histogram("engine.step_seconds")
 _LOSS_GAUGE = obs_metrics.gauge("engine.loss", forward_to_trace=False)
 _SAMPLES_PER_S = obs_metrics.gauge("engine.samples_per_s", forward_to_trace=False)
@@ -509,17 +509,14 @@ class Engine:
         try:
             for epoch in range(self.epoch, config.epochs):
                 self.epoch = epoch
-                metered = obs_metrics.enabled()
-                epoch_start = trace.clock() if metered else 0.0
-                with trace.span("engine.epoch", cat="train", epoch=epoch):
+                with trace.span("engine.epoch", cat="train", epoch=epoch) as epoch_span:
                     self._emit("on_epoch_start")
                     epoch_loss = 0.0
                     samples = 0
                     for self.batch_index, (inputs, targets) in enumerate(
                         data.batches(config.batch_size, config.shuffle, self._rng)
                     ):
-                        step_start = trace.clock() if metered else 0.0
-                        with trace.span("engine.batch", cat="train"):
+                        with trace.span("engine.batch", cat="train") as batch_span:
                             self._emit("on_batch_start")
                             self.optimizer.zero_grad()
                             prediction = self.model(Tensor(inputs))
@@ -533,13 +530,13 @@ class Engine:
                             epoch_loss += self.last_batch_loss * batch
                             samples += batch
                             self._emit("on_batch_end")
-                        if metered:
-                            _STEP_SECONDS.observe(trace.clock() - step_start)
+                        if batch_span.dur is not None:
+                            _STEP_SECONDS.observe(batch_span.dur)
                         obs_metrics.heartbeat()
                     self.train_loss = epoch_loss / samples
-                    if metered:
-                        _LOSS_GAUGE.set(self.train_loss)
-                        epoch_seconds = trace.clock() - epoch_start
+                    _LOSS_GAUGE.set(self.train_loss)
+                    if epoch_span.start is not None:
+                        epoch_seconds = trace.clock() - epoch_span.start
                         if epoch_seconds > 0:
                             _SAMPLES_PER_S.set(samples / epoch_seconds)
                     self.val_loss = None

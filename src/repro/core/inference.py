@@ -40,7 +40,7 @@ from ..tensor.workspace import Workspace
 from .model import SubdomainCNN
 from .padding import PaddingStrategy
 
-#: Rollout-loop latency instrument (no-op while metrics are off).
+#: Rollout-loop latency instrument (no-op while the tracer is off).
 _ROLLOUT_STEP_SECONDS = obs_metrics.histogram("rollout.step_seconds")
 
 
@@ -391,10 +391,8 @@ class ParallelPredictor:
             messages = 0
             volume = 0
             trajectory = [local]
-            metered = obs_metrics.enabled()
             for step in range(num_steps):
-                step_start = trace.clock() if metered else 0.0
-                with trace.span("rollout.step", cat="rollout", step=step):
+                with trace.span("rollout.step", cat="rollout", step=step) as step_span:
                     if exchanger is not None:
                         net_input = exchanger.exchange(local)
                         messages += exchanger.messages_per_exchange
@@ -423,8 +421,8 @@ class ParallelPredictor:
                             f"subdomain block {trajectory[0].shape[-2:]}"
                         )
                     trajectory.append(local)
-                if metered:
-                    _ROLLOUT_STEP_SECONDS.observe(trace.clock() - step_start)
+                if step_span.dur is not None:
+                    _ROLLOUT_STEP_SECONDS.observe(step_span.dur)
                 obs_metrics.heartbeat()
             return np.stack(trajectory), messages, volume
 

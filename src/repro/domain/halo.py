@@ -22,7 +22,7 @@ from .decomposition import BlockDecomposition
 #: Tag block reserved for halo traffic; offsets encode (axis, direction).
 _HALO_TAG_BASE = 7000
 
-#: Completed halo exchanges per rank (no-op while metrics are off; the
+#: Completed halo exchanges per rank (no-op while the tracer is off; the
 #: byte volume is already counted by the mpi.bytes_* counters).
 _HALO_EXCHANGES = obs_metrics.counter("halo.exchanges")
 

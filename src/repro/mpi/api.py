@@ -60,7 +60,7 @@ def _payload_nbytes(payload: Any) -> int:
     return 0
 
 
-#: Point-to-point traffic totals per rank (no-ops while metrics are
+#: Point-to-point traffic totals per rank (no-ops while the tracer is
 #: off); collectives are built from sends/receives, so they count too.
 _BYTES_SENT = obs_metrics.counter("mpi.bytes_sent")
 _BYTES_RECV = obs_metrics.counter("mpi.bytes_recv")
@@ -201,15 +201,11 @@ class Communicator:
         """
         self._check_peer(dest, "destination")
         self._check_tag(tag, allow_any=False)
-        traced = trace.enabled()
-        if not traced and not obs_metrics.enabled():
+        if not trace.enabled():
             self._send(payload, dest, tag)
             return
         nbytes = _payload_nbytes(payload)
         _BYTES_SENT.inc(nbytes)
-        if not traced:
-            self._send(payload, dest, tag)
-            return
         start = trace.clock()
         self._send(payload, dest, tag)
         trace.record(
@@ -237,18 +233,16 @@ class Communicator:
         self._check_peer(source, "source")
         self._check_tag(tag, allow_any=True)
         effective = timeout if timeout is not None else self.deadlock_timeout
-        traced = trace.enabled()
-        if not traced and not obs_metrics.enabled():
+        if not trace.enabled():
             return self._recv(source, tag, effective)
         start = trace.clock()
         payload, status = self._recv(source, tag, effective)
         nbytes = _payload_nbytes(payload)
         _BYTES_RECV.inc(nbytes)
-        if traced:
-            trace.record(
-                "mpi.recv", "comm", start,
-                peer=status.source, tag=status.tag, bytes=nbytes,
-            )
+        trace.record(
+            "mpi.recv", "comm", start,
+            peer=status.source, tag=status.tag, bytes=nbytes,
+        )
         return payload, status
 
     def isend(self, payload: Any, dest: int, tag: int = 0) -> Request:

@@ -163,8 +163,7 @@ class ProcessCommunicator(Communicator):
         waited = 0.0
         while True:
             self._drain()
-            if obs_metrics.enabled():
-                _MAILBOX_DEPTH.set(len(self._inbox))
+            _MAILBOX_DEPTH.set(len(self._inbox))
             self._check_failed()
             env = self._match(source, tag, remove=True)
             if env is not None:
@@ -278,35 +277,32 @@ def _worker_main(
     mailboxes: Sequence[Any],
     result_queue: Any,
     deadlock_timeout: float | None,
-    obs_flags: tuple[bool, bool] = (False, False),
+    traced: bool = False,
     precision: str = "float64",
     heartbeats: Any = None,
 ) -> None:
     """Entry point of one rank process (module-level for spawn support).
 
-    ``obs_flags`` is ``(tracing, metrics)`` as observed in the
-    parent at launch: module-level enable state does not survive a
-    ``spawn``, and under ``fork`` the child additionally inherits the
-    parent's event buffers, which must be cleared so the rank ships
-    only its own telemetry.  ``precision`` is the parent's compute mode
-    at launch, re-applied here for the same reason — a float32 training
-    run must stay float32 inside every rank process.  ``heartbeats``
-    is the shared per-rank last-alive array (or ``None``); when
-    present, this rank's :func:`repro.obs.metrics.heartbeat` beats are
-    mirrored into slot ``rank`` so the parent's supervisor can detect a
-    stall without any queue traffic.
+    ``traced`` is the parent's tracer flag at launch, which also
+    switches the metrics instruments: module-level enable state does
+    not survive a ``spawn``, and under ``fork`` the child additionally
+    inherits the parent's event buffers and instrument values, which
+    must be cleared so the rank ships only its own telemetry.
+    ``precision`` is the parent's compute mode at launch, re-applied
+    here for the same reason — a float32 training run must stay float32
+    inside every rank process.  ``heartbeats`` is the shared per-rank
+    last-alive array (or ``None``); when present, this rank's
+    :func:`repro.obs.metrics.heartbeat` beats are mirrored into slot
+    ``rank`` so the parent's supervisor can detect a stall without any
+    queue traffic.
     """
-    trace_on, metrics_on = obs_flags
     from ..tensor.precision import set_precision
 
     set_precision(precision)
     trace.set_rank(rank)
-    if trace_on:
+    if traced:
         trace.reset()
         trace.enable()
-    if metrics_on:
-        obs_metrics.reset()
-        obs_metrics.enable()
     if heartbeats is not None:
         def _beat_sink(_rank: int | None, wall: float) -> None:
             heartbeats[rank] = wall
@@ -324,7 +320,7 @@ def _worker_main(
         comm.release_undelivered()
         obs_metrics.set_heartbeat_sink(None)
     bundle = None
-    if trace_on or metrics_on:
+    if traced:
         # Captured on the error path too: post-mortem traces must
         # survive a crashed rank.
         from ..obs import aggregate
@@ -371,7 +367,7 @@ def run_parallel_processes(
     result_queue = ctx.Queue()
     from ..tensor.precision import get_precision
 
-    obs_flags = (trace.enabled(), obs_metrics.enabled())
+    traced = trace.enabled()
     precision = get_precision()
     heartbeats = (
         ctx.Array("d", size, lock=False) if heartbeat_timeout is not None else None
@@ -386,7 +382,7 @@ def run_parallel_processes(
                 mailboxes,
                 result_queue,
                 deadlock_timeout,
-                obs_flags,
+                traced,
                 precision,
                 heartbeats,
             ),

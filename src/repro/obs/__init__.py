@@ -5,9 +5,11 @@ The observability layer for the parallel-training reproduction:
 
 * :mod:`repro.obs.trace` — low-overhead span tracer (off by default,
   single attribute-check fast path) with wall-clock-anchored
-  timestamps and thread-local rank context.
+  timestamps and thread-local rank context.  Its flag is the one
+  observability switch: ``trace.tracing()`` turns spans and metrics
+  on together, and ``trace.reset()`` clears both.
 * :mod:`repro.obs.metrics` — rank-aware counters / gauges / log-bucket
-  histograms with the same off-by-default fast path, plus the rank
+  histograms that record while the tracer is on, plus the rank
   heartbeat the process-backend supervisor watches for stalls.
 * :mod:`repro.obs.export` — JSONL / Chrome-trace exporters and the
   per-rank compute-vs-communication summary table.

@@ -2,9 +2,10 @@
 
 Ranks running under the process execution backend record spans
 (kernel timings included) and metrics (workspace byte counters
-included) into *their own* interpreter; this module defines the
-bundle a worker captures at shutdown (or abort) and the parent-side
-merge.  The wire format is a plain picklable dataclass shipped over
+included) into *their own* interpreter.  A worker is observed exactly
+when the parent's tracer was on at launch — that one flag switches
+both — and this module defines the bundle it captures at shutdown (or
+abort) and the parent-side merge.  The wire format is a plain picklable dataclass shipped over
 the backend's existing result queue — no extra channel, and because
 span timestamps are wall-clock-anchored (see :mod:`repro.obs.trace`)
 the merge is a straight concatenation with no clock re-basing.
@@ -41,9 +42,10 @@ class TraceBundle:
 
 
 def capture(rank: int | None = None) -> TraceBundle | None:
-    """Snapshot this process's telemetry for shipping; ``None`` when
-    there is nothing to ship (the common untraced case — keeps the
-    result-queue payload unchanged unless observability is on)."""
+    """Snapshot this process's spans, metric samples and instrument
+    values for shipping; ``None`` when there is nothing to ship (the
+    common untraced case — keeps the result-queue payload unchanged
+    unless the tracer is on)."""
     from . import metrics as obs_metrics
 
     bundle = TraceBundle(

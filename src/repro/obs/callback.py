@@ -13,8 +13,8 @@ The values publish through the :mod:`repro.obs.metrics` registry as
 rank-tagged gauges; each gauge forwards to :func:`repro.obs.trace.
 metric` on ``set``, so traced runs keep the exact event stream (and
 Chrome-trace counter tracks) this callback emitted before the registry
-existed, while metrics-collected runs additionally get the last value
-per rank in snapshots and the Prometheus export.
+existed, and also get the last value per rank in snapshots and the
+Prometheus export.
 
 The class deliberately does **not** subclass
 :class:`repro.core.engine.Callback`: the engine dispatches events by

@@ -46,6 +46,7 @@ __all__ = [
     "PARAREAL_CAT",
     "write_jsonl",
     "read_jsonl",
+    "read_jsonl_meta",
     "write_chrome_trace",
     "summary",
     "format_summary",
@@ -122,6 +123,15 @@ def read_jsonl(path: str | pathlib.Path) -> tuple[list[Span], list[Metric]]:
                                   record["ts"], record["value"]))
         # "meta" and unknown kinds are skipped: forward compatibility.
     return spans, metrics
+
+
+def read_jsonl_meta(path: str | pathlib.Path) -> dict[str, Any]:
+    """The ``{"kind": "meta"}`` header of a :func:`write_jsonl` file
+    (``{}`` when the first line is not one) — carries ``dropped``."""
+    with pathlib.Path(path).open() as fh:
+        first = fh.readline().strip()
+    header = json.loads(first) if first else {}
+    return header if header.get("kind") == "meta" else {}
 
 
 # ----------------------------------------------------------------------

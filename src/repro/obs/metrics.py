@@ -5,14 +5,15 @@ run", this module answers "how is the system behaving" — cumulative
 counters (bytes sent), point-in-time gauges (loss, queue depth), and
 latency :class:`Histogram` instruments with **fixed log-spaced bucket
 boundaries**, so p50/p95/p99 are derivable from bucket counts without
-ever storing samples.  Like the tracer it is **off by default** and
-every instrumented call pays one module-attribute check while
-disabled::
+ever storing samples.  The registry has no switch of its own: updates
+record exactly while the tracer is on, and :func:`repro.obs.trace.reset`
+clears the values, so every instrumented call pays the tracer's one
+flag check while disabled::
 
-    from repro.obs import metrics
+    from repro.obs import metrics, trace
 
-    metrics.reset()
-    with metrics.collecting():
+    trace.reset()
+    with trace.tracing():
         run_workload()
     snap = metrics.snapshot()  # → exporters in repro.obs.metrics_export
 
@@ -48,11 +49,10 @@ layers (``repro.mpi.api``) and must never create an import cycle.
 
 from __future__ import annotations
 
-import contextlib
 import threading
 import time
 from bisect import bisect_left
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from . import trace
 
@@ -64,11 +64,6 @@ __all__ = [
     "gauge",
     "histogram",
     "instruments",
-    "enabled",
-    "enable",
-    "disable",
-    "reset",
-    "collecting",
     "snapshot",
     "merge_snapshot",
     "quantile_from_buckets",
@@ -90,54 +85,8 @@ DEFAULT_BOUNDS: tuple[float, ...] = tuple(10.0 ** (-6 + i / 8) for i in range(65
 HEARTBEAT_METRIC = "repro.heartbeat"
 
 _lock = threading.Lock()
-_enabled: bool = False
 _instruments: dict[str, "Counter | Gauge | Histogram"] = {}
 _heartbeat_sink: Callable[[int | None, float], None] | None = None
-
-
-# ----------------------------------------------------------------------
-# Enable / disable
-# ----------------------------------------------------------------------
-def enabled() -> bool:
-    """Whether the registry is currently recording."""
-    return _enabled
-
-
-def enable() -> None:
-    """Start recording metric updates."""
-    global _enabled
-    _enabled = True
-
-
-def disable() -> None:
-    """Stop recording (accumulated values are kept until :func:`reset`)."""
-    global _enabled
-    _enabled = False
-
-
-def reset() -> None:
-    """Clear every instrument's recorded values.
-
-    Instrument *identity* is preserved: module-level cached references
-    (``_SENT = metrics.counter("mpi.bytes_sent")``) stay live across
-    resets, mirroring how :func:`trace.reset` keeps instrumentation
-    hooks valid.
-    """
-    with _lock:
-        for instrument in _instruments.values():
-            instrument._clear()
-
-
-@contextlib.contextmanager
-def collecting() -> Iterator[None]:
-    """Enable the registry for the duration of the ``with`` block."""
-    previous = _enabled
-    enable()
-    try:
-        yield
-    finally:
-        if not previous:
-            disable()
 
 
 # ----------------------------------------------------------------------
@@ -155,11 +104,12 @@ class Counter:
         self._values: dict[int | None, float] = {}
 
     def _clear(self) -> None:
-        self._values.clear()
+        with _lock:
+            self._values.clear()
 
     def inc(self, amount: float = 1) -> None:
         """Add ``amount`` to the calling rank's total (no-op while off)."""
-        if not _enabled:
+        if not trace.enabled():
             return
         rank = trace.current_rank()
         with _lock:
@@ -180,11 +130,10 @@ class Gauge:
     """A per-rank point-in-time value (loss, queue depth, heartbeat).
 
     With ``forward_to_trace=True`` (the default) every :meth:`set` also
-    emits a :func:`trace.metric` sample *before* checking the metrics
-    flag, so call sites migrated from ad-hoc trace metric events keep
-    producing byte-identical trace output — the tracer applies its own
-    enabled check.  High-frequency internal gauges (heartbeat, mailbox
-    depth) opt out to keep trace buffers clean.
+    emits a :func:`trace.metric` sample, so call sites migrated from
+    ad-hoc trace metric events keep producing byte-identical trace
+    output.  High-frequency internal gauges (heartbeat, mailbox depth)
+    opt out to keep trace buffers clean.
     """
 
     __slots__ = ("name", "forward", "_values")
@@ -197,14 +146,15 @@ class Gauge:
         self._values: dict[int | None, float] = {}
 
     def _clear(self) -> None:
-        self._values.clear()
+        with _lock:
+            self._values.clear()
 
     def set(self, value: float) -> None:
-        """Record the calling rank's current value."""
+        """Record the calling rank's current value (no-op while off)."""
+        if not trace.enabled():
+            return
         if self.forward:
             trace.metric(self.name, value)
-        if not _enabled:
-            return
         rank = trace.current_rank()
         with _lock:
             self._values[rank] = float(value)
@@ -249,11 +199,12 @@ class Histogram:
         self._ranks: dict[int | None, _HistogramState] = {}
 
     def _clear(self) -> None:
-        self._ranks.clear()
+        with _lock:
+            self._ranks.clear()
 
     def observe(self, value: float) -> None:
         """Record one sample for the calling rank (no-op while off)."""
-        if not _enabled:
+        if not trace.enabled():
             return
         value = float(value)
         rank = trace.current_rank()
@@ -416,8 +367,8 @@ def merge_snapshot(snap: dict[str, Any], default_rank: int | None = None) -> Non
     writer wins — they are point-in-time values).  Values recorded
     under rank ``None`` in the worker are re-attributed to
     ``default_rank``, mirroring :func:`repro.obs.aggregate.absorb`.
-    Works regardless of the enabled flag: aggregation happens at
-    shutdown, after the collected region ended.
+    Works regardless of the tracer's flag: aggregation happens at
+    shutdown, after the observed region ended.
     """
     for name, payload in snap.items():
         kind = payload.get("kind")
@@ -467,12 +418,12 @@ def heartbeat() -> None:
     """Stamp the calling rank's last-alive wall time.
 
     Beaten from the engine batch loop, the rollout step loop, and the
-    parareal sweep loop.  Fast path: a no-op unless the registry is
-    collecting *or* a supervisor installed an out-of-band sink (the
-    process backend's shared heartbeat array) — so the instrumented
-    loops pay two attribute checks when idle.
+    parareal sweep loop.  Fast path: a no-op unless the tracer is on
+    *or* a supervisor installed an out-of-band sink (the process
+    backend's shared heartbeat array) — so the instrumented loops pay
+    two flag checks when idle.
     """
-    if _heartbeat_sink is None and not _enabled:
+    if _heartbeat_sink is None and not trace.enabled():
         return
     global _heartbeat_gauge
     wall = time.time()
@@ -490,7 +441,7 @@ def heartbeat_active() -> bool:
     whether to chunk their waits so they can keep beating — without
     paying for short wakeups when nobody is listening.
     """
-    return _heartbeat_sink is not None or _enabled
+    return _heartbeat_sink is not None or trace.enabled()
 
 
 def set_heartbeat_sink(sink: Callable[[int | None, float], None] | None) -> None:

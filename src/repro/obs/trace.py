@@ -5,7 +5,9 @@ category, rank, wall-clock start, duration, small ``args`` dict) and
 :class:`Metric` samples, fed by instrumentation hooks across the stack
 (the MPI runtime, the training engine, the inference rollout, and the
 kernels themselves: ``conv2d``, ``im2col``/``col2im``, the fused ops
-and ``plan.run`` are ``cat="compute"`` spans).  The tracer is **off by
+and ``plan.run`` are ``cat="compute"`` spans).  Its flag is the one
+observability switch: the :mod:`repro.obs.metrics` instruments record
+exactly while it is on, and :func:`reset` clears both.  It is **off by
 default** and every instrumented call pays a single module-attribute
 check while disabled::
 
@@ -136,7 +138,7 @@ def enabled() -> bool:
 
 
 def enable() -> None:
-    """Start recording spans and metrics."""
+    """Start recording spans, metric samples and metrics instruments."""
     global _enabled
     _enabled = True
 
@@ -148,12 +150,21 @@ def disable() -> None:
 
 
 def reset() -> None:
-    """Drop every buffered span and metric."""
+    """Drop every buffered span and metric sample, and clear every
+    :mod:`repro.obs.metrics` instrument's values.
+
+    Instrument *identity* is kept: module-level cached references
+    (``_SENT = metrics.counter("mpi.bytes_sent")``) stay live.
+    """
     global _dropped
+    from . import metrics as obs_metrics  # lazy: metrics imports this module
+
     with _lock:
         _spans.clear()
         _metrics.clear()
         _dropped = 0
+    for instrument in obs_metrics.instruments().values():
+        instrument._clear()
 
 
 @contextlib.contextmanager
@@ -245,10 +256,13 @@ class span(contextlib.ContextDecorator):
 
     ``cat`` groups spans for the compute-vs-communication summary (see
     :func:`repro.obs.export.summary`); extra keyword arguments become
-    the span's ``args``.
+    the span's ``args``.  ``start`` is the ``clock()`` reading taken on
+    entry and ``dur`` the measured duration after exit; both stay
+    ``None`` while the tracer is off, so a caller can feed a histogram
+    from the span's own reading instead of timing the region twice.
     """
 
-    __slots__ = ("name", "cat", "args", "_start")
+    __slots__ = ("name", "cat", "args", "start", "dur")
 
     def __init__(self, name: str, cat: str = "app", **args: Any):
         self.name = name
@@ -257,18 +271,19 @@ class span(contextlib.ContextDecorator):
 
     def _recreate_cm(self) -> "span":
         # Decorator usage: a fresh instance per call, so concurrent
-        # threads never share ``_start``.
+        # threads never share ``start``/``dur``.
         return span(self.name, self.cat, **self.args)
 
     def __enter__(self) -> "span":
-        self._start = clock() if _enabled else None
+        self.start = clock() if _enabled else None
+        self.dur = None
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        start = self._start
+        start = self.start
         if start is None or not _enabled:
             return False
-        dur = clock() - start
+        self.dur = dur = clock() - start
         _append_span(
             Span(
                 self.name,

@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 #: Per-rank sweep counter and last observed convergence delta (no-ops
-#: while the metrics registry is off — see :mod:`repro.obs.metrics`).
+#: while the tracer is off — see :mod:`repro.obs.metrics`).
 _SWEEPS = obs_metrics.counter("parareal.sweeps")
 _CORRECTION_DELTA = obs_metrics.gauge("parareal.correction_delta", forward_to_trace=False)
 

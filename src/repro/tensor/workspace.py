@@ -25,9 +25,9 @@ for slots whose algorithm needs a clean buffer on *every* request (the
 the padding split in the slot name and only ever write the interior,
 so their borders stay zero for the buffer's whole lifetime.
 
-Every hand-out is also counted, while :mod:`repro.obs.metrics` is
-collecting, in the rank-tagged ``workspace.bytes_allocated`` and
-``workspace.bytes_reused`` counters.
+Every hand-out is also counted, while the :mod:`repro.obs` tracer is
+on, in the rank-tagged ``workspace.bytes_allocated`` and
+``workspace.bytes_reused`` counters of :mod:`repro.obs.metrics`.
 
 Thread and fork semantics
 -------------------------

@@ -50,14 +50,13 @@ class TestBundle:
 
     def test_capture_includes_perf_snapshot_when_collecting(self):
         # Kernel timings ride as spans, workspace bytes as metrics.
-        with trace.tracing(), metrics.collecting():
+        with trace.tracing():
             _kernel_work()
         bundle = aggregate.capture(rank=0)
         assert "im2col" in {s.name for s in bundle.spans}
         assert "workspace.bytes_allocated" in bundle.metrics_state
         allocated = metrics.counter("workspace.bytes_allocated").total()
         trace.reset()
-        metrics.reset()
         aggregate.absorb(bundle)
         assert "im2col" in {s.name for s in trace.spans()}
         assert metrics.counter("workspace.bytes_allocated").value(0) == allocated > 0
@@ -126,7 +125,7 @@ class TestProcessBackendRoundTrip:
             comm.barrier()
             return None
 
-        with trace.tracing(), metrics.collecting():
+        with trace.tracing():
             mpi.run_parallel(program, 2, backend="processes", timeout=120)
         kernels = [s for s in trace.spans() if s.name == "im2col"]
         assert {s.rank for s in kernels} == {0, 1}

@@ -231,3 +231,13 @@ class TestDroppedEvents:
     def test_no_warning_without_drops(self):
         spans, _ = synthetic_events()
         assert "WARNING" not in export.format_summary(spans)
+
+    def test_replayed_log_keeps_the_truncation_warning(self, tmp_path, capsys):
+        from repro.cli import main
+
+        spans, metrics = synthetic_events()
+        log = export.write_jsonl(tmp_path / "run.jsonl", spans, metrics, dropped=3)
+        assert main(["trace", str(tmp_path / "out.json"), "--from", str(log)]) == 0
+        printed = capsys.readouterr().out
+        assert "WARNING: trace buffer truncated" in printed
+        assert "3 event(s) dropped" in printed

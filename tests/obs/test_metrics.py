@@ -19,14 +19,14 @@ class TestRegistry:
 
     def test_reset_clears_values_but_keeps_identity(self):
         c = metrics.counter("keep.me")
-        with metrics.collecting():
+        with trace.tracing():
             c.inc(3)
         assert c.total() == 3
-        metrics.reset()
+        trace.reset()
         assert c.total() == 0
         assert metrics.counter("keep.me") is c
         # The cached reference still records after the reset.
-        with metrics.collecting():
+        with trace.tracing():
             c.inc(1)
         assert c.total() == 1
 
@@ -51,21 +51,11 @@ class TestDisabledFastPath:
         assert h.count() == 0
         assert metrics.snapshot() == {}
 
-    def test_collecting_restores_previous_state(self):
-        assert not metrics.enabled()
-        with metrics.collecting():
-            assert metrics.enabled()
-            with metrics.collecting():
-                assert metrics.enabled()
-            # Inner exit must not turn off an outer collected region.
-            assert metrics.enabled()
-        assert not metrics.enabled()
-
 
 class TestRankTagging:
     def test_values_tag_with_the_bound_rank(self):
         c = metrics.counter("rank.c")
-        with metrics.collecting():
+        with trace.tracing():
             c.inc(1)  # driver side: rank None
             with trace.rank_scope(2):
                 c.inc(10)
@@ -75,7 +65,7 @@ class TestRankTagging:
 
     def test_gauge_last_writer_wins_per_rank(self):
         g = metrics.gauge("rank.g", forward_to_trace=False)
-        with metrics.collecting():
+        with trace.tracing():
             with trace.rank_scope(0):
                 g.set(1.0)
                 g.set(2.0)
@@ -88,14 +78,15 @@ class TestRankTagging:
 class TestGaugeForwarding:
     def test_forwarding_gauge_emits_trace_metric(self):
         g = metrics.gauge("fwd.g")
+        g.set(0.25)  # tracer off: neither a sample nor a value
         with trace.tracing():
-            g.set(0.5)  # metrics off: trace sample still emitted
+            g.set(0.5)
         assert [(m.name, m.value) for m in trace.metrics()] == [("fwd.g", 0.5)]
-        assert g.value() is None
+        assert g.value() == 0.5
 
     def test_non_forwarding_gauge_stays_out_of_trace(self):
         g = metrics.gauge("quiet.g", forward_to_trace=False)
-        with trace.tracing(), metrics.collecting():
+        with trace.tracing():
             g.set(0.5)
         assert trace.metrics() == []
         assert g.value() == 0.5
@@ -108,7 +99,7 @@ class TestHistogram:
 
     def test_sample_on_bound_lands_in_le_bucket(self):
         h = metrics.histogram("edge.h", bounds=(1.0, 2.0, 4.0))
-        with metrics.collecting():
+        with trace.tracing():
             h.observe(2.0)
         state = metrics.snapshot()["edge.h"]["ranks"][None]
         # le semantics: x == bounds[i] counts in bucket i, not i+1.
@@ -116,7 +107,7 @@ class TestHistogram:
 
     def test_overflow_bucket_catches_large_samples(self):
         h = metrics.histogram("over.h", bounds=(1.0, 2.0))
-        with metrics.collecting():
+        with trace.tracing():
             h.observe(100.0)
         state = metrics.snapshot()["over.h"]["ranks"][None]
         assert state["counts"] == [0, 0, 1]
@@ -124,7 +115,7 @@ class TestHistogram:
 
     def test_quantiles_track_known_distribution(self):
         h = metrics.histogram("q.h")
-        with metrics.collecting():
+        with trace.tracing():
             for i in range(1, 101):
                 h.observe(i / 1000.0)  # 1ms .. 100ms uniform
         p50 = h.quantile(0.50)
@@ -154,7 +145,7 @@ class TestSnapshotMerge:
     def test_merge_adds_counters_and_histograms(self):
         c = metrics.counter("m.c")
         h = metrics.histogram("m.h", bounds=(1.0, 2.0))
-        with metrics.collecting():
+        with trace.tracing():
             c.inc(2)
             h.observe(1.5)
         snap = metrics.snapshot()
@@ -165,11 +156,11 @@ class TestSnapshotMerge:
     def test_merge_reattributes_rank_none_to_default_rank(self):
         c = metrics.counter("m.rank")
         g = metrics.gauge("m.rankg", forward_to_trace=False)
-        with metrics.collecting():
+        with trace.tracing():
             c.inc(5)
             g.set(9.0)
         snap = metrics.snapshot()
-        metrics.reset()
+        trace.reset()
         metrics.merge_snapshot(snap, default_rank=3)
         assert c.value(3) == 5
         assert c.value(None) == 0
@@ -177,7 +168,7 @@ class TestSnapshotMerge:
 
     def test_merge_preserves_gauge_forward_flag(self):
         metrics.gauge("m.fwd", forward_to_trace=False)
-        with metrics.collecting():
+        with trace.tracing():
             metrics.gauge("m.fwd", forward_to_trace=False).set(1.0)
         snap = metrics.snapshot()
         # Simulate a parent process that never created this gauge.
@@ -211,7 +202,7 @@ class TestHeartbeat:
         assert metrics.snapshot() == {}
 
     def test_beats_stamp_the_heartbeat_gauge(self):
-        with metrics.collecting():
+        with trace.tracing():
             with trace.rank_scope(1):
                 metrics.heartbeat()
         snap = metrics.snapshot()

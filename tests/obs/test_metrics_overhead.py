@@ -1,12 +1,12 @@
 """The metrics registry's disabled fast path must be free.
 
-Same acceptance bar as the tracer (``test_overhead.py``): with metrics
-off, instrumentation adds < 2% wall-time to the representative rollout
-kernel (the 256x256 conv2d forward from ``benchmarks/bench_kernels.py``).
-A rollout step crosses on the order of 32 metered sites (step
-histograms, byte counters, heartbeats, mailbox-depth gauges), so we
-charge the measured per-site disabled cost times that count against
-the kernel time.
+Same acceptance bar as the tracer (``test_overhead.py``): with the
+tracer off (the one switch for spans and metrics alike), metrics add
+< 2% wall-time to the representative rollout kernel (the 256x256
+conv2d forward from ``benchmarks/bench_kernels.py``).  A rollout step
+crosses on the order of 32 metered sites (step histograms, byte
+counters, heartbeats, mailbox-depth gauges), so we charge the measured
+per-site disabled cost times that count against the kernel time.
 """
 
 import numpy as np
@@ -32,9 +32,9 @@ def best_of(fn, repeats=5):
 
 
 def disabled_site_cost(calls=20_000):
-    """Seconds per metered site while the registry is off, taking the
+    """Seconds per metered site while the tracer is off, taking the
     best of a few batches to shed scheduler noise."""
-    assert not metrics.enabled()
+    assert not trace.enabled()
 
     def batch():
         for _ in range(calls):
@@ -45,7 +45,9 @@ def disabled_site_cost(calls=20_000):
         # Each iteration exercises all four update shapes; count them
         # as four sites.
 
-    return best_of(batch, repeats=3) / (4 * calls)
+    cost = best_of(batch, repeats=3) / (4 * calls)
+    assert metrics.snapshot() == {}
+    return cost
 
 
 def test_disabled_metrics_cost_under_two_percent_of_conv_kernel():
@@ -68,7 +70,6 @@ def test_disabled_metrics_cost_under_two_percent_of_conv_kernel():
 
 
 def test_disabled_site_cost_absolute_sanity():
-    # Each disabled site is one module-attribute check + an early
-    # return; even on a loaded CI box it must stay well under 10
-    # microseconds.
+    # Each disabled site is one flag check + an early return; even on a
+    # loaded CI box it must stay well under 10 microseconds.
     assert disabled_site_cost(calls=5_000) < 10e-6

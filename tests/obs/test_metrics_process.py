@@ -12,16 +12,16 @@ from repro.obs import aggregate, metrics, trace
 
 class TestBundleMetrics:
     def test_capture_carries_metrics_state(self):
-        with metrics.collecting():
+        with trace.tracing():
             metrics.counter("bundle.c").inc(3)
         bundle = aggregate.capture(rank=5)
         assert bundle.metrics_state["bundle.c"]["values"] == {None: 3}
 
     def test_absorb_merges_and_reattributes_rank(self):
-        with metrics.collecting():
+        with trace.tracing():
             metrics.counter("bundle.c2").inc(7)
         bundle = aggregate.capture(rank=5)
-        metrics.reset()
+        trace.reset()
         aggregate.absorb(bundle)
         assert metrics.counter("bundle.c2").value(5) == 7
 
@@ -38,7 +38,7 @@ class TestProcessBackendRoundTrip:
             comm.barrier()
             return comm.rank
 
-        with metrics.collecting():
+        with trace.tracing():
             results = mpi.run_parallel(program, 2, backend="processes", timeout=120)
         assert results == [0, 1]
         events = metrics.counter("proc.events")
@@ -68,7 +68,7 @@ class TestProcessBackendRoundTrip:
                 raise RuntimeError("rank 1 dies after recording")
             return "ok"
 
-        with metrics.collecting():
+        with trace.tracing():
             with pytest.raises(RuntimeError, match="rank 1 dies"):
                 mpi.run_parallel(program, 2, backend="processes", timeout=120)
         assert metrics.counter("proc.crash").value(1) == 11
@@ -91,7 +91,7 @@ class TestHeartbeatStall:
             return "ok"
 
         start = time.monotonic()
-        with metrics.collecting():
+        with trace.tracing():
             with pytest.raises(CommunicatorError, match="rank 1 stalled"):
                 mpi.run_parallel(
                     program,
@@ -116,7 +116,7 @@ class TestHeartbeatStall:
                 comm.barrier()
             return comm.rank
 
-        with metrics.collecting():
+        with trace.tracing():
             results = mpi.run_parallel(
                 program,
                 2,
@@ -132,7 +132,7 @@ class TestHeartbeatStall:
             comm.barrier()
             return comm.rank
 
-        with metrics.collecting():
+        with trace.tracing():
             results = mpi.run_parallel(
                 program, 2, backend="threads", heartbeat_timeout=0.001
             )
@@ -146,7 +146,7 @@ class TestHeartbeatStall:
             metrics.counter("threads.tagged").inc()
             return trace.current_rank()
 
-        with metrics.collecting():
+        with trace.tracing():
             ranks = mpi.run_parallel(program, 2, backend="threads")
         assert ranks == [0, 1]
         tagged = metrics.counter("threads.tagged")

@@ -1,11 +1,13 @@
 """The tracer's disabled fast path must be free.
 
-The acceptance bar from the design: with tracing off, instrumentation
-adds < 2% wall-time to the representative rollout kernel (the 256x256
-conv2d forward from ``benchmarks/bench_kernels.py``).  A rollout step
-crosses on the order of 32 instrumented sites (engine/rollout spans,
-halo send/recv hooks, router waits), so we charge the measured
-per-site disabled cost times that count against the kernel time.
+The acceptance bar from the design: with tracing off (the one switch
+for spans and metrics alike; the metrics side is measured in
+``test_metrics_overhead.py``), instrumentation adds < 2% wall-time
+to the representative rollout kernel (the 256x256 conv2d forward from
+``benchmarks/bench_kernels.py``).  A rollout step crosses on the order
+of 32 instrumented sites (engine/rollout spans, halo send/recv hooks,
+router waits), so we charge the measured per-site disabled cost times
+that count against the kernel time.
 """
 
 import numpy as np

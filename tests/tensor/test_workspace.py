@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.obs import metrics
+from repro.obs import metrics, trace
 from repro.tensor.workspace import (
     Workspace,
     get_workspace,
@@ -112,18 +112,18 @@ class TestPerfIntegration:
     """Arena byte accounting feeds the ``repro.obs.metrics`` counters."""
 
     def test_bytes_feed_registry_when_collecting(self):
-        metrics.reset()
+        trace.reset()
         ws = Workspace()
-        with metrics.collecting():
+        with trace.tracing():
             ws.request("a", (10,), np.float64)
             ws.request("a", (10,), np.float64)
         assert metrics.counter("workspace.bytes_allocated").total() == 80
         assert metrics.counter("workspace.bytes_reused").total() == 80
-        metrics.reset()
+        trace.reset()
 
     def test_silent_while_disabled(self):
-        metrics.reset()
-        assert not metrics.enabled()
+        trace.reset()
+        assert not trace.enabled()
         Workspace().request("a", (10,), np.float64)
         snap = metrics.snapshot()
         assert "workspace.bytes_allocated" not in snap
