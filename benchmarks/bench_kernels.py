@@ -18,7 +18,9 @@ from repro.domain import BlockDecomposition, HaloExchanger
 from repro.solver import LinearizedEuler, Simulation, UniformGrid2D, paper_initial_condition
 from repro.tensor import (
     Tensor,
+    col2im,
     conv2d,
+    get_workspace,
     im2col,
     leaky_relu,
     no_grad,
@@ -276,6 +278,71 @@ def test_conv2d_backward_128(benchmark):
 
     grad = benchmark(step)
     assert grad.shape == (6, 4, 5, 5)
+
+
+def _conv_16to6_96():
+    """The paper net's 16->6 layer (5x5, padding 2) at batch 8 on a
+    96x48 block (a 96x96 field on a 1x2 rank grid), with a fixed
+    upstream gradient: inputs of the training backward ordering gate."""
+    rng = np.random.default_rng(0)
+    return (
+        rng.standard_normal((8, 16, 96, 48)),
+        rng.standard_normal((6, 16, 5, 5)),
+        rng.standard_normal(6),
+        rng.standard_normal((8, 6, 96, 48)),
+    )
+
+
+def _conv2d_train_step(x_data, w_data, b_data, seed):
+    x = Tensor(x_data, requires_grad=True)
+    w = Tensor(w_data, requires_grad=True)
+    b = Tensor(b_data, requires_grad=True)
+    conv2d(x, w, b, padding=2).backward(seed)
+    return x.grad, w.grad, b.grad
+
+
+def test_conv2d_backward_16to6_96(benchmark):
+    """Forward + backward of the ``conv2d`` op under autograd: the
+    strip-mined training path (grad_x as a flipped-kernel forward
+    conv, grad_w per strip).  The A side of the backward ordering
+    gate."""
+    benchmark.extra_info["grid"] = 96
+    benchmark.extra_info["kernel"] = 5
+    benchmark.extra_info["variant"] = "strip-mined"
+    x_data, w_data, b_data, seed = _conv_16to6_96()
+    grads = benchmark(lambda: _conv2d_train_step(x_data, w_data, b_data, seed))
+    assert grads[0].shape == x_data.shape
+
+
+def test_conv2d_backward_col2im_16to6_96(benchmark):
+    """The same forward + backward in the formulation the training path
+    used to run: the full im2col patch matrix kept for grad_w, and
+    grad_x scattered back with ``col2im`` from ``gmat @ wmat``, scratch
+    from the thread's arena.  The B side of the ordering gate."""
+    benchmark.extra_info["grid"] = 96
+    benchmark.extra_info["kernel"] = 5
+    benchmark.extra_info["variant"] = "im2col+col2im"
+    x_data, w_data, b_data, seed = _conv_16to6_96()
+    n, c, h, w = x_data.shape
+    f = w_data.shape[0]
+    ws = get_workspace()
+
+    def step():
+        cols, (oh, ow) = im2col(x_data, (5, 5), (1, 1), (2, 2))
+        wmat = w_data.reshape(f, c * 25)
+        out = cols @ wmat.T
+        out += b_data
+        gmat = ws.request("bench.gmat", (n * oh * ow, f), seed.dtype)
+        np.copyto(gmat.reshape(n, oh, ow, f), seed.transpose(0, 2, 3, 1))
+        grad_w = (gmat.T @ cols).reshape(w_data.shape)
+        gcols = ws.request("bench.gcols", (n * oh * ow, c * 25), seed.dtype)
+        np.matmul(gmat, wmat, out=gcols)
+        grad_x = col2im(gcols, x_data.shape, (5, 5), (1, 1), (2, 2), workspace=ws).copy()
+        return grad_x, grad_w, gmat.sum(axis=0)
+
+    grads = benchmark(step)
+    for got, expected in zip(grads, _conv2d_train_step(x_data, w_data, b_data, seed)):
+        assert np.allclose(got, expected, rtol=1e-10, atol=1e-10 * np.abs(expected).max())
 
 
 def test_solver_step_256(benchmark):

@@ -104,7 +104,7 @@ class _ConvStep:
             (n * oh * ow, layer.out_channels),
             compute,
         )
-        out, _, _, _, _ = conv2d_forward(
+        out, _ = conv2d_forward(
             x,
             weight,
             bias,

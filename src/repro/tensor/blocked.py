@@ -1,4 +1,4 @@
-"""Cache-blocked conv2d forward: strip-mined im2col + GEMM.
+"""Cache-blocked conv2d kernels: strip-mined im2col + GEMM.
 
 The monolithic im2col path materializes the full ``(N*OH*OW, C*kh*kw)``
 patch matrix — ~52 MiB at the paper's 256x256/4-channel/5x5
@@ -7,16 +7,32 @@ transposed copy.  Every element therefore makes three trips through
 main memory, and the fused epilogue's extra mask pass is what made the
 "fused" variant *lose* to the plain one at large sizes.
 
-This variant strip-mines the output rows instead: for each batch image
+This module strip-mines the output rows instead: for each batch image
 and each strip of output rows it copies just that strip's patches into
-a small resident buffer (sized to stay inside the L2 cache), runs the
-GEMM, applies the bias/leaky-ReLU epilogue, and transposes the strip
-into its final ``(F, rows, OW)`` position — all while the strip is
-still cache-hot.  The arithmetic per output element is the identical
-dot product over the same ``C*kh*kw`` values, so results match the
-monolithic kernel to the last ulp in practice; the test suite pins
-equality at strict ``allclose`` tolerances rather than bitwise, since
-BLAS is free to schedule the smaller GEMMs differently.
+a small resident buffer (sized to stay inside the L2 cache) and works
+on it while it is still cache-hot.
+
+* :func:`conv2d_forward_blocked` GEMMs the strip with the weights,
+  applies the bias/leaky-ReLU epilogue, and transposes the strip into
+  its final ``(F, rows, OW)`` position.  The arithmetic per output
+  element is the identical dot product over the same ``C*kh*kw``
+  values, so results match the monolithic kernel to the last ulp in
+  practice; the test suite pins equality at strict ``allclose``
+  tolerances rather than bitwise, since BLAS is free to schedule the
+  smaller GEMMs differently.
+* :func:`conv2d_grad_weight_blocked` accumulates the weight gradient
+  ``grad_w += g_strip (F, m) @ cols_strip (m, C*kh*kw)`` over the same
+  strips, so the training backward never builds the full patch matrix.
+* :func:`conv2d_grad_input_blocked` is the input gradient as a
+  *forward* convolution: the upstream gradient, zero-stuffed and padded
+  into an input-sized buffer, correlated with the 180°-rotated,
+  channel-swapped kernel.  It replaces the ``gmat @ wmat`` →
+  :func:`~repro.tensor.im2col.col2im` scatter, whose adds stride
+  ``C*kh*kw`` elements apart, with the cache-friendly forward kernel.
+
+Together the last two are the whole ``conv2d`` autograd backward; the
+op's training forward is :func:`conv2d_forward_blocked` without a
+workspace, so nothing patch-sized outlives a call.
 
 :func:`should_block` is the shape heuristic shared by the ``conv2d``
 op's no-grad fast path and the :class:`~repro.core.inference.
@@ -28,6 +44,8 @@ bit-for-bit against the module forward).
 
 from __future__ import annotations
 
+from typing import Any, Iterator
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -36,7 +54,12 @@ from ..obs import trace
 from .im2col import conv_output_size
 from .workspace import Workspace
 
-__all__ = ["conv2d_forward_blocked", "should_block"]
+__all__ = [
+    "conv2d_forward_blocked",
+    "conv2d_grad_input_blocked",
+    "conv2d_grad_weight_blocked",
+    "should_block",
+]
 
 #: Patch-matrix size (bytes) above which the blocked kernel wins; below
 #: it the monolithic im2col fits in cache and stays bit-pinned by the
@@ -67,6 +90,74 @@ def _strip_rows(ow: int, c: int, kh: int, kw: int, itemsize: int, oh: int) -> in
     return max(1, min(oh, _TARGET_STRIP_BYTES // max(1, row_bytes)))
 
 
+def _scratch(
+    workspace: Workspace | None, slot: str, shape: tuple[int, ...], dtype: Any
+) -> np.ndarray:
+    """Kernel scratch: an arena slot, or a fresh buffer without one."""
+    if workspace is not None:
+        return workspace.request(slot, shape, dtype)
+    # Workspace-less: the conv2d training forward, whose scratch must
+    # not be recycled before backward runs, and any kernel called in a
+    # workspace_disabled() block.  Never reached from an InferencePlan.
+    return np.empty(shape, dtype=dtype)  # noqa: REP012
+
+
+def _windows(
+    x: np.ndarray,
+    kernel: tuple[int, int],
+    stride: tuple[int, int],
+    padding: tuple[int, int],
+    workspace: Workspace | None,
+    slot_prefix: str,
+) -> np.ndarray:
+    """``(N, C, OH, OW, kh, kw)`` zero-copy view of every receptive
+    field of ``x`` after symmetric zero padding."""
+    n, c, h, w = x.shape
+    kh, kw = kernel
+    sh, sw = stride
+    ph, pw = padding
+    oh = conv_output_size(h, kh, sh, ph)
+    ow = conv_output_size(w, kw, sw, pw)
+    if ph or pw:
+        if workspace is not None:
+            padded = workspace.request(
+                f"{slot_prefix}.padded.{ph}x{pw}",
+                (n, c, h + 2 * ph, w + 2 * pw),
+                x.dtype,
+            )
+            padded[:, :, ph : ph + h, pw : pw + w] = x
+            x = padded
+        else:
+            # Workspace-less: the conv2d training forward (see
+            # _scratch).  Never reached from an InferencePlan.
+            x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))  # noqa: REP012
+    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))
+    windows = windows[:, :, ::sh, ::sw, :, :]
+    if windows.shape[2] != oh or windows.shape[3] != ow:
+        raise ShapeError(
+            f"blocked conv window grid {windows.shape[2:4]} != ({oh}, {ow})"
+        )
+    return windows
+
+
+def _patch_strips(
+    windows: np.ndarray, cols_strip: np.ndarray, rows: int
+) -> Iterator[tuple[int, int, int, np.ndarray]]:
+    """Yield ``(b, r0, r1, cols)`` for every strip of output rows, with
+    ``cols`` (a prefix of ``cols_strip``) holding that strip's patches
+    in the monolithic im2col's ``(rows, OW, C, kh, kw)`` element order."""
+    n, c, oh, ow, kh, kw = windows.shape
+    for b in range(n):
+        for r0 in range(0, oh, rows):
+            r1 = min(oh, r0 + rows)
+            cols = cols_strip[: (r1 - r0) * ow]
+            np.copyto(
+                cols.reshape(r1 - r0, ow, c, kh, kw),
+                windows[b, :, r0:r1].transpose(1, 2, 0, 3, 4),
+            )
+            yield b, r0, r1, cols
+
+
 def conv2d_forward_blocked(
     x: np.ndarray,
     weight: np.ndarray,
@@ -79,44 +170,22 @@ def conv2d_forward_blocked(
     out: np.ndarray | None = None,
     slot_prefix: str = "conv2d.blocked",
 ) -> tuple[np.ndarray, tuple[int, int]]:
-    """Strip-mined conv2d forward (inference only — nothing is kept
-    for a backward pass).
+    """Strip-mined conv2d forward (nothing is kept for a backward pass).
 
     Parameters mirror :func:`~repro.tensor.ops_conv.conv2d_forward`;
     ``out`` is an optional pre-bound ``(N, F, OH, OW)`` destination
     (the :class:`InferencePlan` passes an arena buffer so warmed-up
-    steps stay allocation-free).  Returns ``(out4, (oh, ow))`` where
-    ``out4`` is C-contiguous — unlike the monolithic kernel, whose
-    result is a lazily transposed view of the GEMM output.
+    steps stay allocation-free).  Without a ``workspace`` the scratch
+    is small per-call strip buffers.  Returns ``(out4, (oh, ow))``
+    where ``out4`` is C-contiguous — unlike the monolithic kernel,
+    whose result is a lazily transposed view of the GEMM output.
     """
-    n, c, h, w = x.shape
+    c = x.shape[1]
     f = weight.shape[0]
     kh, kw = weight.shape[2], weight.shape[3]
-    sh, sw = stride
-    ph, pw = padding
-    oh = conv_output_size(h, kh, sh, ph)
-    ow = conv_output_size(w, kw, sw, pw)
     with trace.span("conv2d.blocked", cat="compute"):
-        if ph or pw:
-            if workspace is not None:
-                padded = workspace.request(
-                    f"{slot_prefix}.padded.{ph}x{pw}",
-                    (n, c, h + 2 * ph, w + 2 * pw),
-                    x.dtype,
-                )
-                padded[:, :, ph : ph + h, pw : pw + w] = x
-                x = padded
-            else:
-                # Workspace-less fallback: correctness path only, never
-                # taken by a warmed-up InferencePlan.
-                x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))  # noqa: REP012
-        # (N, C, OH, OW, kh, kw) zero-copy view of every receptive field.
-        windows = sliding_window_view(x, (kh, kw), axis=(2, 3))
-        windows = windows[:, :, ::sh, ::sw, :, :]
-        if windows.shape[2] != oh or windows.shape[3] != ow:
-            raise ShapeError(
-                f"blocked conv window grid {windows.shape[2:4]} != ({oh}, {ow})"
-            )
+        windows = _windows(x, (kh, kw), stride, padding, workspace, slot_prefix)
+        n, _, oh, ow = windows.shape[:4]
         compute = np.result_type(x.dtype, weight.dtype)
         wmat_t = weight.reshape(f, c * kh * kw).T  # (C*kh*kw, F)
         rows = _strip_rows(ow, c, kh, kw, compute.itemsize, oh)
@@ -124,61 +193,148 @@ def conv2d_forward_blocked(
             # Never reached from a warmed-up InferencePlan: the plan
             # binds the step output to an arena slot.
             out = np.empty((n, f, oh, ow), dtype=compute)  # noqa: REP012
-        if workspace is not None:
-            cols_strip = workspace.request(
-                f"{slot_prefix}.cols", (rows * ow, c * kh * kw), compute
-            )
-            gemm_strip = workspace.request(
-                f"{slot_prefix}.gemm", (rows * ow, f), compute
-            )
-            scaled_strip = (
-                workspace.request(f"{slot_prefix}.scaled", (f, rows, ow), compute)
-                if activation is not None
-                else None
-            )
-        else:
-            # Workspace-less fallback scratch: correctness path only,
-            # never taken by a warmed-up InferencePlan.
-            cols_strip = np.empty((rows * ow, c * kh * kw), dtype=compute)  # noqa: REP012
-            gemm_strip = np.empty((rows * ow, f), dtype=compute)  # noqa: REP012
-            scaled_strip = None
-            if activation is not None:
-                # Same workspace-less correctness-only path as above.
-                scaled_strip = np.empty((f, rows, ow), dtype=compute)  # noqa: REP012
+        cols_strip = _scratch(
+            workspace, f"{slot_prefix}.cols", (rows * ow, c * kh * kw), compute
+        )
+        gemm_strip = _scratch(workspace, f"{slot_prefix}.gemm", (rows * ow, f), compute)
+        scaled_strip = (
+            _scratch(workspace, f"{slot_prefix}.scaled", (f, rows, ow), compute)
+            if activation is not None
+            else None
+        )
         bias_col = bias.reshape(f, 1, 1) if bias is not None else None
-        for b in range(n):
-            for r0 in range(0, oh, rows):
-                r1 = min(oh, r0 + rows)
-                m = (r1 - r0) * ow
-                # Patch copy for this strip only: (rows, OW, C, kh, kw)
-                # element order matches the monolithic im2col exactly.
-                np.copyto(
-                    cols_strip[:m].reshape(r1 - r0, ow, c, kh, kw),
-                    windows[b, :, r0:r1].transpose(1, 2, 0, 3, 4),
-                )
-                np.matmul(cols_strip[:m], wmat_t, out=gemm_strip[:m])
-                strip = gemm_strip[:m]
-                dest = out[b, :, r0:r1, :]
-                # Transpose the cache-hot strip into its final position.
-                dest[...] = strip.reshape(r1 - r0, ow, f).transpose(2, 0, 1)
-                if activation is None:
+        for b, r0, r1, cols in _patch_strips(windows, cols_strip, rows):
+            strip = gemm_strip[: cols.shape[0]]
+            np.matmul(cols, wmat_t, out=strip)
+            dest = out[b, :, r0:r1, :]
+            # Transpose the cache-hot strip into its final position.
+            dest[...] = strip.reshape(r1 - r0, ow, f).transpose(2, 0, 1)
+            if activation is None:
+                if bias_col is not None:
+                    np.add(dest, bias_col, out=dest)
+            else:
+                # Epilogue *after* the transpose: in (F, rows, OW)
+                # layout the bias broadcasts along the outermost
+                # axis, so every ufunc runs contiguous OW-long
+                # inner loops.  In the pre-transpose (rows*OW, F)
+                # layout the same broadcast degenerates to
+                # F-element inner loops — per-strip that overhead
+                # was most of the fused-over-plain gap.  Same
+                # elementwise max(z, slope*z) arithmetic as
+                # bias_leaky_relu_, so results stay bit-identical
+                # to the monolithic fused path.
+                with trace.span("fused.bias_leaky_relu", cat="compute"):
+                    scaled = scaled_strip[:, : r1 - r0, :]
                     if bias_col is not None:
                         np.add(dest, bias_col, out=dest)
-                else:
-                    # Epilogue *after* the transpose: in (F, rows, OW)
-                    # layout the bias broadcasts along the outermost
-                    # axis, so every ufunc runs contiguous OW-long
-                    # inner loops.  In the pre-transpose (rows*OW, F)
-                    # layout the same broadcast degenerates to
-                    # F-element inner loops — per-strip that overhead
-                    # was most of the fused-over-plain gap.  Same
-                    # elementwise max(z, slope*z) arithmetic as
-                    # bias_leaky_relu_, so results stay bit-identical
-                    # to the monolithic fused path.
-                    with trace.span("fused.bias_leaky_relu", cat="compute"):
-                        scaled = scaled_strip[:, : r1 - r0, :]
-                        if bias_col is not None:
-                            np.add(dest, bias_col, out=dest)
-                        np.multiply(dest, negative_slope, out=scaled)
-                        np.maximum(dest, scaled, out=dest)
+                    np.multiply(dest, negative_slope, out=scaled)
+                    np.maximum(dest, scaled, out=dest)
     return out, (oh, ow)
+
+
+def conv2d_grad_weight_blocked(
+    x: np.ndarray,
+    grad: np.ndarray,
+    kernel: tuple[int, int],
+    stride: tuple[int, int],
+    padding: tuple[int, int],
+    workspace: Workspace | None,
+) -> np.ndarray:
+    """Weight gradient ``(F, C, kh, kw)`` of a conv2d with input ``x``
+    ``(N, C, H, W)`` and upstream gradient ``grad`` ``(N, F, OH, OW)``.
+
+    Sums ``g_strip (F, m) @ cols_strip (m, C*kh*kw)`` over the forward
+    kernel's strips; the result is freshly allocated.
+    """
+    c = x.shape[1]
+    f = grad.shape[1]
+    kh, kw = kernel
+    with trace.span("conv2d.blocked.grad_w", cat="compute"):
+        windows = _windows(x, kernel, stride, padding, workspace, "conv2d.bwd.gw")
+        oh, ow = windows.shape[2], windows.shape[3]
+        if grad.shape[2:] != (oh, ow):
+            raise ShapeError(
+                f"conv2d grad_w: gradient grid {grad.shape[2:]} != ({oh}, {ow})"
+            )
+        compute = np.result_type(x.dtype, grad.dtype)
+        rows = _strip_rows(ow, c, kh, kw, compute.itemsize, oh)
+        cols_strip = _scratch(
+            workspace, "conv2d.bwd.gw.cols", (rows * ow, c * kh * kw), compute
+        )
+        grad = np.ascontiguousarray(grad)
+        grad_w = np.zeros((f, c * kh * kw), dtype=compute)
+        for b, r0, r1, cols in _patch_strips(windows, cols_strip, rows):
+            # (F, rows, OW) -> (F, m): a view, since grad is C-contiguous.
+            grad_w += grad[b, :, r0:r1, :].reshape(f, cols.shape[0]) @ cols
+    return grad_w.reshape(f, c, kh, kw)
+
+
+def _stuffed_span(
+    out_size: int, size: int, k: int, s: int, p: int
+) -> tuple[slice, slice]:
+    """Along one axis, where gradient rows land in the stuffed buffer.
+
+    Output position ``o`` lands at ``q = o*s + k-1-p``.  Returns the
+    buffer slice and the matching gradient slice, cropped to
+    ``0 <= q < size + k - 1`` (positions outside it only ever reach
+    the input's zero padding, which happens when ``p > k-1``).
+    """
+    o0 = max(0, -(-(p - k + 1) // s))
+    o1 = max(o0, min(out_size, (size - 1 + p) // s + 1))
+    q0 = o0 * s + k - 1 - p
+    return slice(q0, q0 + (o1 - o0) * s, s), slice(o0, o1)
+
+
+def conv2d_grad_input_blocked(
+    grad: np.ndarray,
+    weight: np.ndarray,
+    input_hw: tuple[int, int],
+    stride: tuple[int, int],
+    padding: tuple[int, int],
+    workspace: Workspace | None,
+) -> np.ndarray:
+    """Input gradient ``(N, C, H, W)`` of a conv2d with ``weight``
+    ``(F, C, kh, kw)`` and upstream gradient ``grad`` ``(N, F, OH, OW)``.
+
+    Along one axis ``grad_x[i] = sum g[o] w[a]`` over ``o*s + a - p =
+    i``.  Writing ``g[o]`` at ``o*s + k-1-p`` of a zero buffer of length
+    ``size + k - 1`` turns this into the unpadded stride-1 correlation
+    ``grad_x[i] = sum_b buf[i + b] w[k-1-b]`` — a forward convolution
+    with the 180°-rotated, channel-swapped kernel.  For stride 1 the
+    buffer is the gradient zero-padded by ``k-1-p``; a larger stride
+    stuffs ``s-1`` zeros between gradient rows; ``p > k-1`` crops.  The
+    result is freshly allocated.
+    """
+    n, f, oh, ow = grad.shape
+    h, w = input_hw
+    kh, kw = weight.shape[2], weight.shape[3]
+    sh, sw = stride
+    ph, pw = padding
+    with trace.span("conv2d.blocked.grad_x", cat="compute"):
+        shape = (n, f, h + kh - 1, w + kw - 1)
+        if workspace is not None:
+            # The slot encodes kernel, stride and padding, so with the
+            # shape they fix the positions written: the zeros between
+            # them persist from the buffer's creation.
+            stuffed = workspace.request(
+                f"conv2d.bwd.gx.stuffed.k{kh}x{kw}.s{sh}x{sw}.p{ph}x{pw}",
+                shape,
+                grad.dtype,
+            )
+        else:
+            # Workspace-less: inside a workspace_disabled() block.
+            stuffed = np.zeros(shape, dtype=grad.dtype)  # noqa: REP012
+        dst_h, src_h = _stuffed_span(oh, h, kh, sh, ph)
+        dst_w, src_w = _stuffed_span(ow, w, kw, sw, pw)
+        stuffed[:, :, dst_h, dst_w] = grad[:, :, src_h, src_w]
+        flipped = weight.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+        grad_x, _ = conv2d_forward_blocked(
+            stuffed,
+            flipped,
+            None,
+            (1, 1),
+            (0, 0),
+            workspace=workspace,
+            slot_prefix="conv2d.bwd.gx",
+        )
+    return grad_x

@@ -71,8 +71,8 @@ def leaky_relu_scale(z: np.ndarray, negative_slope: float = 0.01) -> np.ndarray:
     would otherwise be silently promoted to float64 by the float64
     array ``np.where`` produces from Python-float branches.
     """
-    # Training-only allocation: InferencePlan steps never set
-    # keep_scale, so this is unreachable from a warmed-up rollout.
+    # Training-only allocation: only the conv2d op's autograd forward
+    # calls this, so it is unreachable from a warmed-up rollout.
     scale = np.empty_like(z)  # noqa: REP012
     scale[...] = negative_slope
     np.copyto(scale, 1.0, where=z >= 0.0)

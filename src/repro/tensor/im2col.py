@@ -15,7 +15,15 @@ bit-identical either way; only the buffers' provenance changes.  With a
 workspace, ``col2im``'s result aliases arena storage (it is the
 scatter base, or a view into it), so it is only valid until the next
 request of the same slot — callers that let the result escape must
-copy it out, which is why the autograd backward paths stay naive.
+copy it out.
+
+``col2im`` serves only ``conv_transpose2d`` and the
+:class:`~repro.core.inference.InferencePlan` transpose-conv step.  The
+``conv2d`` training backward does not use it: its input gradient is a
+forward convolution with the flipped kernel and its weight gradient is
+accumulated strip by strip (:mod:`~repro.tensor.blocked`), so no
+patch-sized matrix is built.  Both kernels here remain the reference
+the backward is tested against.
 """
 
 from __future__ import annotations

@@ -1,30 +1,34 @@
 """Differentiable 2-D convolution and transposed convolution.
 
-The forward convolution is im2col + one GEMM; the backward pass reuses
-the cached patch matrix for the weight gradient (another GEMM) and
-:func:`~repro.tensor.im2col.col2im` for the input gradient.  The
-transposed convolution is implemented as the exact adjoint of the
-convolution, which is what the paper's "de-convolutional layer"
-alternative (Sec. III, option 4) requires.
+The forward convolution is im2col + one GEMM.  Under autograd the op
+runs the strip-mined kernels of :mod:`~repro.tensor.blocked`: the
+forward keeps only ``x`` and ``weight`` (no patch matrix), the weight
+gradient is accumulated strip by strip, and the input gradient is a
+forward convolution of the gradient with the 180°-rotated,
+channel-swapped kernel, so training never scatters patch rows back
+into an image.  The transposed convolution is implemented as the exact
+adjoint of the convolution (its forward *is* a ``col2im`` scatter),
+which is what the paper's "de-convolutional layer" alternative
+(Sec. III, option 4) requires.
 
 Fast paths
 ----------
 ``conv2d`` accepts ``activation="leaky_relu"``, fusing the bias add and
 the activation into the GEMM epilogue (one pass over the 2-D GEMM
 output instead of two extra full-size temporaries).  When no parent
-needs a gradient the forward additionally draws its im2col scratch from
-the calling thread's :class:`~repro.tensor.workspace.Workspace`; under
-autograd the naive allocate-per-call path is kept because the backward
-closure captures the patch matrix, which must not be recycled by a
-later call.  Both fast paths are bit-identical to the naive path — the
-epilogue multiplies by ``negative_slope`` only where the
-pre-activation is negative, and scales gradients with the exact
-``where(z >= 0, 1, slope)`` array the standalone op would build.
+needs a gradient the forward additionally draws its scratch from the
+calling thread's :class:`~repro.tensor.workspace.Workspace`; under
+autograd the forward takes no arena scratch at all, and the backward
+borrows only its own namespaced ``conv2d.bwd.*`` slots.  Both fast
+paths are bit-identical to the naive path — the epilogue multiplies by
+``negative_slope`` only where the pre-activation is negative, and the
+backward scales gradients with the exact ``where(z >= 0, 1, slope)``
+array the standalone op would build.
 
-:func:`conv2d_forward` is the raw-ndarray kernel behind the op; the
-compiled :class:`~repro.core.inference.InferencePlan` calls it directly
-with pre-bound GEMM output buffers so rollout steps are allocation-free
-after warmup.
+:func:`conv2d_forward` is the raw-ndarray kernel behind the no-grad op;
+the compiled :class:`~repro.core.inference.InferencePlan` calls it
+directly with pre-bound GEMM output buffers so rollout steps are
+allocation-free after warmup.
 """
 
 from __future__ import annotations
@@ -36,7 +40,12 @@ import numpy as np
 from ..exceptions import ConfigurationError, ShapeError
 from ..obs import trace
 from . import autograd, gemm
-from .blocked import conv2d_forward_blocked, should_block
+from .blocked import (
+    conv2d_forward_blocked,
+    conv2d_grad_input_blocked,
+    conv2d_grad_weight_blocked,
+    should_block,
+)
 from .fused import bias_leaky_relu_, leaky_relu_scale
 from .im2col import col2im, conv_output_size, im2col
 from .tensor import Tensor, ensure_tensor, register_op
@@ -60,9 +69,9 @@ def conv2d_forward(
     workspace: Workspace | None = None,
     gemm_out: np.ndarray | None = None,
     slot_prefix: str = "conv2d",
-    keep_scale: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, tuple[int, int]]:
-    """Raw conv2d forward shared by the op and :class:`InferencePlan`.
+) -> tuple[np.ndarray, tuple[int, int]]:
+    """Raw monolithic conv2d forward shared by the no-grad op and
+    :class:`InferencePlan`.
 
     Parameters
     ----------
@@ -71,17 +80,10 @@ def conv2d_forward(
         (``np.matmul(..., out=...)``).  Only safe for callers that own
         the buffer's lifetime; the op itself always allocates, because
         its result escapes to user code.
-    keep_scale:
-        Materialize and return the leaky-ReLU derivative array (needed
-        by the autograd backward).  Mutually exclusive with the masked
-        in-place epilogue, but bit-identical to it.
 
     Returns
     -------
-    ``(out, cols, wmat, act_scale, (oh, ow))`` where ``out`` is the
-    ``(N, F, OH, OW)`` result, ``cols``/``wmat`` are the GEMM operands
-    (captured by the op's backward), and ``act_scale`` is the
-    activation derivative or ``None``.
+    ``(out, (oh, ow))`` where ``out`` is the ``(N, F, OH, OW)`` result.
     """
     n, c, h, w = x.shape
     f = weight.shape[0]
@@ -89,18 +91,9 @@ def conv2d_forward(
     cols, (oh, ow) = im2col(x, (kh, kw), stride, padding, workspace=workspace)
     wmat = weight.reshape(f, c * kh * kw)
     out = gemm.threaded_matmul(cols, wmat.T, out=gemm_out)  # (N*OH*OW, F)
-    act_scale = None
     if activation is None:
         if bias is not None:
             out += bias
-    elif keep_scale:
-        # Training path: same values as the masked epilogue (z * 1.0 is
-        # bit-identical to z), but the derivative array is kept for
-        # backward.
-        if bias is not None:
-            out += bias
-        act_scale = leaky_relu_scale(out, negative_slope)
-        out *= act_scale
     else:
         bias_leaky_relu_(
             out,
@@ -110,7 +103,7 @@ def conv2d_forward(
             slot=f"{slot_prefix}.mask",
         )
     out4 = out.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
-    return out4, cols, wmat, act_scale, (oh, ow)
+    return out4, (oh, ow)
 
 
 @register_op("conv2d")
@@ -160,103 +153,79 @@ def conv2d(
         or tw.requires_grad
         or (tb is not None and tb.requires_grad)
     )
-    # The backward closure captures ``cols``; arena scratch would be
-    # recycled by the next same-shape call, so only the no-grad path
-    # may borrow from the workspace for its *forward* scratch.  (The
-    # backward pass borrows its own, separately named slots at backward
-    # time — those are consumed within one closure invocation.)
-    workspace = None if needs_grad else get_workspace()
+    x_data, w_data = tx.data, tw.data
+    b_data = None if tb is None else tb.data
     parents = (tx, tw) if tb is None else (tx, tw, tb)
 
-    if not needs_grad and workspace is not None:
+    if not needs_grad:
+        workspace = get_workspace()
         sh, sw = stride
         ph, pw = padding
         oh = conv_output_size(h, kh, sh, ph)
         ow = conv_output_size(w, kw, sw, pw)
         compute = np.result_type(tx.dtype, tw.dtype)
-        if should_block(n, c, oh, ow, kh, kw, compute.itemsize):
-            # Large shapes: strip-mined kernel (nothing kept — there is
-            # no backward on this path).
-            with trace.span("conv2d", cat="compute"):
-                out, _ = conv2d_forward_blocked(
-                    tx.data,
-                    tw.data,
-                    None if tb is None else tb.data,
-                    stride,
-                    padding,
-                    activation=activation,
-                    negative_slope=negative_slope,
-                    workspace=workspace,
-                )
-            return Tensor.from_op(out, parents, _no_backward, "conv2d")
-
-    with trace.span("conv2d", cat="compute"):
-        out, cols, wmat, act_scale, (oh, ow) = conv2d_forward(
-            tx.data,
-            tw.data,
-            None if tb is None else tb.data,
-            stride,
-            padding,
-            activation=activation,
-            negative_slope=negative_slope,
-            workspace=workspace,
-            keep_scale=needs_grad and activation is not None,
+        # Large shapes take the strip-mined kernel.
+        blocked = workspace is not None and should_block(
+            n, c, oh, ow, kh, kw, compute.itemsize
         )
+        kernel = conv2d_forward_blocked if blocked else conv2d_forward
+        with trace.span("conv2d", cat="compute"):
+            out, _ = kernel(
+                x_data,
+                w_data,
+                b_data,
+                stride,
+                padding,
+                activation=activation,
+                negative_slope=negative_slope,
+                workspace=workspace,
+            )
+        return Tensor.from_op(out, parents, _no_backward, "conv2d")
+
+    # Training: no arena scratch (nothing here may be recycled by a
+    # later call before backward runs), and nothing patch-sized kept.
+    act_scale = None
+    with trace.span("conv2d", cat="compute"):
+        out, _ = conv2d_forward_blocked(x_data, w_data, b_data, stride, padding)
+        if activation is not None:
+            # Same values as the masked epilogue (z * 1.0 is
+            # bit-identical to z), but the derivative array is kept.
+            act_scale = leaky_relu_scale(out, negative_slope)
+            out *= act_scale
 
     def backward(grad: np.ndarray):
-        # Backward-internal scratch (the patch-sized matrices) comes
-        # from the thread's arena when one is enabled: the buffers are
-        # consumed before this closure returns, and the escaping
-        # gradients below are always freshly allocated.  Slots are
+        # Backward scratch (strip buffers, the padded input, the
+        # stuffed gradient) comes from the thread's arena when one is
+        # enabled: it is consumed before this closure returns, and the
+        # escaping gradients are always freshly allocated.  Slots are
         # namespaced "conv2d.bwd.*" so an interleaved no-grad forward
         # can never recycle them mid-closure.
         ws = get_workspace()
-        uniform = grad.dtype == wmat.dtype == cols.dtype
         with trace.span("conv2d.backward", cat="compute"):
-            # grad: (N, F, OH, OW) -> (N*OH*OW, F)
-            if ws is not None and uniform:
-                gmat = ws.request("conv2d.bwd.gmat", (n * oh * ow, f), grad.dtype)
-                np.copyto(
-                    gmat.reshape(n, oh, ow, f), grad.transpose(0, 2, 3, 1)
-                )
-                if act_scale is not None:
-                    # Fused activation backward epilogue: same chain-rule
-                    # multiply as the naive path, applied in place on the
-                    # arena buffer.
-                    np.multiply(gmat, act_scale, out=gmat)
-            else:
-                gmat = grad.transpose(0, 2, 3, 1).reshape(n * oh * ow, f)
-                if act_scale is not None:
-                    gmat = gmat * act_scale
-            grad_w = (
-                (gmat.T @ cols).reshape(f, c, kh, kw) if tw.requires_grad else None
+            if act_scale is not None:
+                grad = grad * act_scale
+            grad_x = (
+                conv2d_grad_input_blocked(grad, w_data, (h, w), stride, padding, ws)
+                if tx.requires_grad
+                else None
             )
-            grad_x = None
-            if tx.requires_grad:
-                if ws is not None and uniform:
-                    gcols = ws.request(
-                        "conv2d.bwd.gcols", (n * oh * ow, c * kh * kw), gmat.dtype
-                    )
-                    gemm.threaded_matmul(gmat, wmat, out=gcols)
-                    # col2im's result aliases the arena scatter base, so
-                    # the escaping gradient is copied out of it.
-                    grad_x = col2im(
-                        gcols, (n, c, h, w), (kh, kw), stride, padding,
-                        workspace=ws,
-                    ).copy()
-                else:
-                    gcols = gemm.threaded_matmul(gmat, wmat)  # (N*OH*OW, C*kh*kw)
-                    grad_x = col2im(gcols, (n, c, h, w), (kh, kw), stride, padding)
+            grad_w = (
+                conv2d_grad_weight_blocked(
+                    x_data, grad, (kh, kw), stride, padding, ws
+                )
+                if tw.requires_grad
+                else None
+            )
             if tb is None:
                 return grad_x, grad_w
-            grad_b = gmat.sum(axis=0) if tb.requires_grad else None
+            grad_b = grad.sum(axis=(0, 2, 3)) if tb.requires_grad else None
             return grad_x, grad_w, grad_b
 
     return Tensor.from_op(out, parents, backward, "conv2d")
 
 
 def _no_backward(grad: np.ndarray):  # pragma: no cover - detached by from_op
-    raise AssertionError("blocked conv2d fast path is no-grad only")
+    raise AssertionError("conv2d no-grad paths record no backward")
 
 
 @register_op("conv_transpose2d")

@@ -139,9 +139,9 @@ class TestGoldenEquivalence:
         )
         history = train_network(model, toy_dataset(), config)
         assert history.epoch_losses == [
-            0.5702630691862834,
+            0.5702630691862833,
             0.3554285259365743,
-            0.3073493849471212,
+            0.3073493849471213,
             0.28498376777179574,
         ]
 
@@ -157,9 +157,9 @@ class TestGoldenEquivalence:
         result = trainer.train(advection(), execution="serial")
         assert result.final_losses == [
             0.08217575238920581,
-            0.0755660641980473,
+            0.07556606419804732,
             0.0848219813092068,
-            0.0545402933822151,
+            0.054540293382215096,
         ]
 
     def test_train_recurrent(self):
@@ -174,7 +174,7 @@ class TestGoldenEquivalence:
         )
         assert history.epoch_losses == [
             0.10429143511237071,
-            0.07905397227389,
+            0.07905397227389001,
             0.05992293198846969,
         ]
 
@@ -190,7 +190,7 @@ class TestGoldenEquivalence:
         )
         assert result.history.epoch_losses == [
             0.10739210964387613,
-            0.08955989228766259,
+            0.0895598922876626,
             0.07723297443326674,
         ]
         assert result.bytes_reduced == 42432
@@ -209,7 +209,7 @@ class TestGoldenEquivalence:
             execution="serial",
         )
         assert [r.history.epoch_losses for r in result.rank_results] == [
-            [0.08950252515646073, 0.06414163276967585],
+            [0.08950252515646073, 0.06414163276967584],
             [0.0761336266969359, 0.05392340633950702],
         ]
 
