@@ -11,6 +11,7 @@ test tags its ``extra_info`` with the problem size so the emitted
 import time
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro import mpi
 from repro.core import InferencePlan, build_paper_cnn
@@ -27,6 +28,7 @@ from repro.tensor import (
     precision,
     workspace_disabled,
 )
+from repro.tensor.blocked import _strip_rows
 
 #: Rounds for the InferencePlan step benchmarks.  One step is ~10² ms,
 #: so pytest-benchmark's calibrated default lands at rounds=5 — too few
@@ -215,6 +217,90 @@ def test_conv2d_forward_fused_float32_256(benchmark):
         out = benchmark(forward)
     assert out.shape == (1, 6, 256, 256)
     assert out.dtype == np.float32
+
+
+def _conv_16to6_256():
+    """The paper net's 16->6 layer (5x5, padding 2) on one 256x128
+    block: the no-grad shape ROADMAP item 3 names as its hot layer."""
+    rng = np.random.default_rng(0)
+    return (
+        rng.standard_normal((1, 16, 256, 128)),
+        rng.standard_normal((6, 16, 5, 5)),
+        rng.standard_normal(6),
+    )
+
+
+def test_conv2d_forward_16to6_256(benchmark):
+    """The no-grad fused op (bias + leaky ReLU in the epilogue) on the
+    16->6 layer: K-major patch strips, one ``W @ cols`` GEMM per strip
+    straight into the NCHW output.  The A side of the strip-layout
+    ordering gate."""
+    benchmark.extra_info["grid"] = 256
+    benchmark.extra_info["kernel"] = 5
+    benchmark.extra_info["variant"] = "k-major strips"
+    benchmark.extra_info["kernel_path"] = "blocked"
+    benchmark.extra_info["precision"] = "float64"
+    x, w, b = (Tensor(a) for a in _conv_16to6_256())
+
+    def forward():
+        with no_grad():
+            return conv2d(x, w, b, padding=2, activation="leaky_relu")
+
+    out = benchmark(forward)
+    assert out.shape == (1, 6, 256, 128)
+
+
+def test_conv2d_forward_rowmajor_16to6_256(benchmark):
+    """The same fused forward with the strip layout the blocked kernel
+    used to build: row-major ``(m, C*k*k)`` patch strips gathered in
+    ``kw``-long runs, a skinny ``cols @ W.T`` GEMM with N = F = 6 into
+    a strip scratch, then a transpose of the strip into ``(F, rows,
+    OW)`` and the epilogue there; scratch from the thread's arena.  The
+    B side of the ordering gate."""
+    benchmark.extra_info["grid"] = 256
+    benchmark.extra_info["kernel"] = 5
+    benchmark.extra_info["variant"] = "row-major strips"
+    benchmark.extra_info["kernel_path"] = "blocked"
+    benchmark.extra_info["precision"] = "float64"
+    x, w, b = _conv_16to6_256()
+    n, c, h, wd = x.shape
+    f = w.shape[0]
+    wmat_t = w.reshape(f, c * 25).T
+    rows = _strip_rows(wd, c, 5, 5, x.itemsize, h)
+    ws = get_workspace()
+
+    def forward():
+        padded = ws.request("bench.rowmajor.padded", (n, c, h + 4, wd + 4), x.dtype)
+        padded[:, :, 2 : 2 + h, 2 : 2 + wd] = x
+        windows = sliding_window_view(padded, (5, 5), axis=(2, 3))
+        cols_strip = ws.request("bench.rowmajor.cols", (rows * wd, c * 25), x.dtype)
+        gemm_strip = ws.request("bench.rowmajor.gemm", (rows * wd, f), x.dtype)
+        scaled_strip = ws.request("bench.rowmajor.scaled", (f, rows, wd), x.dtype)
+        out = np.empty((n, f, h, wd))
+        for i in range(n):
+            for r0 in range(0, h, rows):
+                r1 = min(h, r0 + rows)
+                cols = cols_strip[: (r1 - r0) * wd]
+                np.copyto(
+                    cols.reshape(r1 - r0, wd, c, 5, 5),
+                    windows[i, :, r0:r1].transpose(1, 2, 0, 3, 4),
+                )
+                strip = gemm_strip[: cols.shape[0]]
+                np.matmul(cols, wmat_t, out=strip)
+                dest = out[i, :, r0:r1, :]
+                dest[...] = strip.reshape(r1 - r0, wd, f).transpose(2, 0, 1)
+                scaled = scaled_strip[:, : r1 - r0, :]
+                np.add(dest, b.reshape(f, 1, 1), out=dest)
+                np.multiply(dest, 0.01, out=scaled)
+                np.maximum(dest, scaled, out=dest)
+        return out
+
+    out = benchmark(forward)
+    with no_grad():
+        expected = conv2d(
+            Tensor(x), Tensor(w), Tensor(b), padding=2, activation="leaky_relu"
+        ).numpy()
+    assert np.allclose(out, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
 
 def test_inference_plan_step_256(benchmark):

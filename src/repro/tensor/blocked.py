@@ -10,19 +10,22 @@ main memory, and the fused epilogue's extra mask pass is what made the
 This module strip-mines the output rows instead: for each batch image
 and each strip of output rows it copies just that strip's patches into
 a small resident buffer (sized to stay inside the L2 cache) and works
-on it while it is still cache-hot.
+on it while it is still cache-hot.  The strip is K-major,
+``(C*kh*kw, rows*OW)``: each ``(c, i, j)`` row is a copy of
+``OW``-long input runs, and every GEMM has the filter count ``F`` as
+its short *outer* dimension, never as its skinny ``N``.
 
-* :func:`conv2d_forward_blocked` GEMMs the strip with the weights,
-  applies the bias/leaky-ReLU epilogue, and transposes the strip into
-  its final ``(F, rows, OW)`` position.  The arithmetic per output
-  element is the identical dot product over the same ``C*kh*kw``
-  values, so results match the monolithic kernel to the last ulp in
-  practice; the test suite pins equality at strict ``allclose``
-  tolerances rather than bitwise, since BLAS is free to schedule the
-  smaller GEMMs differently.
+* :func:`conv2d_forward_blocked` computes ``W (F, C*kh*kw) @ cols``
+  straight into its final ``(F, rows*OW)`` slice of the NCHW output —
+  no GEMM scratch, no post-GEMM transpose — then applies the
+  bias/leaky-ReLU epilogue there.  The arithmetic per output element
+  is the same dot product over the same ``C*kh*kw`` values as the
+  monolithic kernel; the test suite pins equality at strict
+  ``allclose`` tolerances rather than bitwise, since BLAS is free to
+  order the adds of the smaller GEMMs differently.
 * :func:`conv2d_grad_weight_blocked` accumulates the weight gradient
-  ``grad_w += g_strip (F, m) @ cols_strip (m, C*kh*kw)`` over the same
-  strips, so the training backward never builds the full patch matrix.
+  ``grad_w += g_strip (F, m) @ cols.T`` over the same strips, so the
+  training backward never builds the full patch matrix.
 * :func:`conv2d_grad_input_blocked` is the input gradient as a
   *forward* convolution: the upstream gradient, zero-stuffed and padded
   into an input-sized buffer, correlated with the 180°-rotated,
@@ -68,7 +71,17 @@ __all__ = [
 BLOCK_MIN_COLS_BYTES = 16 << 20
 
 #: Per-strip patch buffer budget — sized to sit inside a typical L2.
-_TARGET_STRIP_BYTES = 1 << 20
+#: Measured on one Xeon core with OpenBLAS, 512 KiB beats 1 MiB on
+#: every paper layer at both precisions: the ``W @ cols`` GEMM loses
+#: throughput once a strip grows past ~2K output positions.
+_TARGET_STRIP_BYTES = 1 << 19
+
+#: Output columns per filter the forward's bias/leaky-ReLU epilogue
+#: covers in one pass.  Its ufuncs run over ``(F, cols)`` views whose
+#: rows are ``OH*OW`` apart, and NumPy's per-call iterator set-up makes
+#: them 2-4x slower per element below ~8K columns, so the epilogue runs
+#: once per group of strips rather than once per strip.
+_EPILOGUE_COLS = 1 << 13
 
 
 def should_block(
@@ -144,18 +157,34 @@ def _patch_strips(
     windows: np.ndarray, cols_strip: np.ndarray, rows: int
 ) -> Iterator[tuple[int, int, int, np.ndarray]]:
     """Yield ``(b, r0, r1, cols)`` for every strip of output rows, with
-    ``cols`` (a prefix of ``cols_strip``) holding that strip's patches
-    in the monolithic im2col's ``(rows, OW, C, kh, kw)`` element order."""
+    ``cols`` a C-contiguous ``(C*kh*kw, (r1-r0)*OW)`` view of
+    ``cols_strip``'s memory holding that strip's patches K-major: row
+    ``(c, i, j)`` is input channel ``c`` at kernel offset ``(i, j)``
+    for every output position of the strip."""
     n, c, oh, ow, kh, kw = windows.shape
+    flat = cols_strip.reshape(-1)
     for b in range(n):
         for r0 in range(0, oh, rows):
             r1 = min(oh, r0 + rows)
-            cols = cols_strip[: (r1 - r0) * ow]
+            cols = flat[: c * kh * kw * (r1 - r0) * ow].reshape(c * kh * kw, -1)
             np.copyto(
-                cols.reshape(r1 - r0, ow, c, kh, kw),
-                windows[b, :, r0:r1].transpose(1, 2, 0, 3, 4),
+                cols.reshape(c, kh, kw, r1 - r0, ow),
+                windows[b, :, r0:r1].transpose(0, 3, 4, 1, 2),
             )
             yield b, r0, r1, cols
+
+
+def _plane_rows(out: np.ndarray, b: int, r0: int, r1: int) -> np.ndarray:
+    """``out[b, :, r0:r1]`` as an ``(F, (r1-r0)*OW)`` view of ``out``."""
+    view = out[b, :, r0:r1].reshape(out.shape[1], -1)
+    # The reshape silently copies unless out's last two axes are
+    # contiguous, and results written into that copy would be lost.
+    if not np.may_share_memory(view, out):
+        raise ShapeError(
+            "conv2d_forward_blocked: out must be contiguous over its last "
+            f"two axes, got shape {out.shape} with strides {out.strides}"
+        )
+    return view
 
 
 def conv2d_forward_blocked(
@@ -175,10 +204,11 @@ def conv2d_forward_blocked(
     Parameters mirror :func:`~repro.tensor.ops_conv.conv2d_forward`;
     ``out`` is an optional pre-bound ``(N, F, OH, OW)`` destination
     (the :class:`InferencePlan` passes an arena buffer so warmed-up
-    steps stay allocation-free).  Without a ``workspace`` the scratch
-    is small per-call strip buffers.  Returns ``(out4, (oh, ow))``
-    where ``out4`` is C-contiguous — unlike the monolithic kernel,
-    whose result is a lazily transposed view of the GEMM output.
+    steps stay allocation-free); its last two axes must be contiguous,
+    or :class:`ShapeError` is raised.  Without a ``workspace`` the scratch
+    is small per-call strip buffers.  Returns ``(out, (oh, ow))``; an
+    ``out`` allocated here is C-contiguous — unlike the monolithic
+    kernel's result, a lazily transposed view of the GEMM output.
     """
     c = x.shape[1]
     f = weight.shape[0]
@@ -187,48 +217,46 @@ def conv2d_forward_blocked(
         windows = _windows(x, (kh, kw), stride, padding, workspace, slot_prefix)
         n, _, oh, ow = windows.shape[:4]
         compute = np.result_type(x.dtype, weight.dtype)
-        wmat_t = weight.reshape(f, c * kh * kw).T  # (C*kh*kw, F)
+        wmat = weight.reshape(f, c * kh * kw)
         rows = _strip_rows(ow, c, kh, kw, compute.itemsize, oh)
         if out is None:
             # Never reached from a warmed-up InferencePlan: the plan
             # binds the step output to an arena slot.
             out = np.empty((n, f, oh, ow), dtype=compute)  # noqa: REP012
         cols_strip = _scratch(
-            workspace, f"{slot_prefix}.cols", (rows * ow, c * kh * kw), compute
+            workspace, f"{slot_prefix}.cols", (c * kh * kw, rows * ow), compute
         )
-        gemm_strip = _scratch(workspace, f"{slot_prefix}.gemm", (rows * ow, f), compute)
-        scaled_strip = (
-            _scratch(workspace, f"{slot_prefix}.scaled", (f, rows, ow), compute)
+        # Rows per epilogue pass: whole strips, at most one image.
+        group_rows = min(oh, rows * max(1, -(-_EPILOGUE_COLS // (rows * ow))))
+        scaled_buf = (
+            _scratch(workspace, f"{slot_prefix}.scaled", (f, group_rows * ow), compute)
             if activation is not None
             else None
         )
-        bias_col = bias.reshape(f, 1, 1) if bias is not None else None
+        bias_col = bias.reshape(f, 1) if bias is not None else None
+        epilogue = bias is not None or activation is not None
+        e0 = 0  # first row of image b the epilogue has not reached
         for b, r0, r1, cols in _patch_strips(windows, cols_strip, rows):
-            strip = gemm_strip[: cols.shape[0]]
-            np.matmul(cols, wmat_t, out=strip)
-            dest = out[b, :, r0:r1, :]
-            # Transpose the cache-hot strip into its final position.
-            dest[...] = strip.reshape(r1 - r0, ow, f).transpose(2, 0, 1)
+            np.matmul(wmat, cols, out=_plane_rows(out, b, r0, r1))
+            if not epilogue or (r1 - e0 < group_rows and r1 < oh):
+                continue
+            # The epilogue over the rows since the last pass, still
+            # cache-resident.  In (F, cols) layout the bias broadcasts
+            # along the outermost axis, so every ufunc runs contiguous
+            # cols-long inner loops.  Same elementwise max(z, slope*z)
+            # arithmetic as bias_leaky_relu_, so results match the
+            # monolithic fused path.
+            z = _plane_rows(out, b, e0, r1)
+            e0 = r1 % oh
             if activation is None:
+                np.add(z, bias_col, out=z)
+                continue
+            with trace.span("fused.bias_leaky_relu", cat="compute"):
+                scaled = scaled_buf[:, : z.shape[1]]
                 if bias_col is not None:
-                    np.add(dest, bias_col, out=dest)
-            else:
-                # Epilogue *after* the transpose: in (F, rows, OW)
-                # layout the bias broadcasts along the outermost
-                # axis, so every ufunc runs contiguous OW-long
-                # inner loops.  In the pre-transpose (rows*OW, F)
-                # layout the same broadcast degenerates to
-                # F-element inner loops — per-strip that overhead
-                # was most of the fused-over-plain gap.  Same
-                # elementwise max(z, slope*z) arithmetic as
-                # bias_leaky_relu_, so results stay bit-identical
-                # to the monolithic fused path.
-                with trace.span("fused.bias_leaky_relu", cat="compute"):
-                    scaled = scaled_strip[:, : r1 - r0, :]
-                    if bias_col is not None:
-                        np.add(dest, bias_col, out=dest)
-                    np.multiply(dest, negative_slope, out=scaled)
-                    np.maximum(dest, scaled, out=dest)
+                    np.add(z, bias_col, out=z)
+                np.multiply(z, negative_slope, out=scaled)
+                np.maximum(z, scaled, out=z)
     return out, (oh, ow)
 
 
@@ -243,8 +271,8 @@ def conv2d_grad_weight_blocked(
     """Weight gradient ``(F, C, kh, kw)`` of a conv2d with input ``x``
     ``(N, C, H, W)`` and upstream gradient ``grad`` ``(N, F, OH, OW)``.
 
-    Sums ``g_strip (F, m) @ cols_strip (m, C*kh*kw)`` over the forward
-    kernel's strips; the result is freshly allocated.
+    Sums ``g_strip (F, m) @ cols.T`` (``cols`` is the forward kernel's
+    K-major ``(C*kh*kw, m)`` strip); the result is freshly allocated.
     """
     c = x.shape[1]
     f = grad.shape[1]
@@ -259,13 +287,13 @@ def conv2d_grad_weight_blocked(
         compute = np.result_type(x.dtype, grad.dtype)
         rows = _strip_rows(ow, c, kh, kw, compute.itemsize, oh)
         cols_strip = _scratch(
-            workspace, "conv2d.bwd.gw.cols", (rows * ow, c * kh * kw), compute
+            workspace, "conv2d.bwd.gw.cols", (c * kh * kw, rows * ow), compute
         )
         grad = np.ascontiguousarray(grad)
         grad_w = np.zeros((f, c * kh * kw), dtype=compute)
         for b, r0, r1, cols in _patch_strips(windows, cols_strip, rows):
             # (F, rows, OW) -> (F, m): a view, since grad is C-contiguous.
-            grad_w += grad[b, :, r0:r1, :].reshape(f, cols.shape[0]) @ cols
+            grad_w += grad[b, :, r0:r1, :].reshape(f, cols.shape[1]) @ cols.T
     return grad_w.reshape(f, c, kh, kw)
 
 

@@ -1,12 +1,15 @@
 """Differentiable 2-D convolution and transposed convolution.
 
-The forward convolution is im2col + one GEMM.  Under autograd the op
-runs the strip-mined kernels of :mod:`~repro.tensor.blocked`: the
-forward keeps only ``x`` and ``weight`` (no patch matrix), the weight
-gradient is accumulated strip by strip, and the input gradient is a
-forward convolution of the gradient with the 180°-rotated,
-channel-swapped kernel, so training never scatters patch rows back
-into an image.  The transposed convolution is implemented as the exact
+A small no-grad forward is im2col + one GEMM (:func:`conv2d_forward`).
+Large no-grad forwards (:func:`~repro.tensor.blocked.should_block`)
+and every forward under autograd run the strip-mined kernels of
+:mod:`~repro.tensor.blocked`: K-major ``(C*kh*kw, rows*OW)`` patch
+strips, each one ``W (F, C*kh*kw) @ cols`` GEMM written straight into
+its rows of the NCHW output.  Under autograd the forward keeps only
+``x`` and ``weight`` (no patch matrix), the weight gradient is
+accumulated strip by strip, and the input gradient is a forward
+convolution of the gradient with the 180°-rotated, channel-swapped
+kernel, so training never scatters patch rows back into an image.  The transposed convolution is implemented as the exact
 adjoint of the convolution (its forward *is* a ``col2im`` scatter),
 which is what the paper's "de-convolutional layer" alternative
 (Sec. III, option 4) requires.
@@ -14,8 +17,8 @@ which is what the paper's "de-convolutional layer" alternative
 Fast paths
 ----------
 ``conv2d`` accepts ``activation="leaky_relu"``, fusing the bias add and
-the activation into the GEMM epilogue (one pass over the 2-D GEMM
-output instead of two extra full-size temporaries).  When no parent
+the activation into the GEMM epilogue (one pass over each GEMM result
+instead of two extra full-size temporaries).  When no parent
 needs a gradient the forward additionally draws its scratch from the
 calling thread's :class:`~repro.tensor.workspace.Workspace`; under
 autograd the forward takes no arena scratch at all, and the backward

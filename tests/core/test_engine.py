@@ -139,7 +139,7 @@ class TestGoldenEquivalence:
         )
         history = train_network(model, toy_dataset(), config)
         assert history.epoch_losses == [
-            0.5702630691862833,
+            0.5702630691862834,
             0.3554285259365743,
             0.3073493849471213,
             0.28498376777179574,
@@ -159,7 +159,7 @@ class TestGoldenEquivalence:
             0.08217575238920581,
             0.07556606419804732,
             0.0848219813092068,
-            0.054540293382215096,
+            0.0545402933822151,
         ]
 
     def test_train_recurrent(self):
@@ -210,7 +210,7 @@ class TestGoldenEquivalence:
         )
         assert [r.history.epoch_losses for r in result.rank_results] == [
             [0.08950252515646073, 0.06414163276967584],
-            [0.0761336266969359, 0.05392340633950702],
+            [0.0761336266969359, 0.05392340633950701],
         ]
 
 

@@ -143,6 +143,36 @@ class TestAllocationFreedom:
         assert after.buffers_created == created
         assert after.requests > requests  # warm requests did happen
 
+    def test_blocked_steps_write_arena_output_in_place(self, rng, monkeypatch):
+        """With every conv forced onto the strip-mined kernel, each step's
+        result is its arena output slot itself, filled by the strip GEMMs
+        rather than by a copy, and the plan still matches the module
+        forward."""
+        from repro.core import inference
+        from repro.tensor import blocked
+
+        monkeypatch.setattr(blocked, "BLOCK_MIN_COLS_BYTES", 0)
+        calls = []
+
+        def spy(*args, **kwargs):
+            result = conv2d_forward_blocked(*args, **kwargs)
+            calls.append((kwargs["out"], result[0]))
+            return result
+
+        conv2d_forward_blocked = inference.conv2d_forward_blocked
+        monkeypatch.setattr(inference, "conv2d_forward_blocked", spy)
+        model = make_model(PaddingStrategy.ZERO)
+        plan = InferencePlan(model)
+        x = rng.standard_normal((2, 4, 12, 12))
+        expected = model_forward(model, x)
+        for _ in range(2):
+            np.testing.assert_allclose(plan.run(x), expected, rtol=1e-12, atol=1e-12)
+        assert len(calls) == 4  # two conv steps, two runs
+        for out_buf, result in calls:
+            assert result is out_buf
+        # The warm run reuses the cold run's slots.
+        assert calls[2][0] is calls[0][0] and calls[3][0] is calls[1][0]
+
 
 class TestCompilation:
     def test_fuses_conv_leaky_pairs(self):
